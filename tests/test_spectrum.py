@@ -1,9 +1,15 @@
 """Tests for the spectral decomposition machinery."""
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+
+from gofkit import cli
 
 from gofkit.spectrum import (
     DecompositionError,
@@ -11,6 +17,8 @@ from gofkit.spectrum import (
     PowerLawTail,
     Quadrature,
     SpectralBasis,
+    SphereZonalBasis,
+    _ZONAL_BLOCK,
     center_kernel,
     cosine_basis,
     effective_variance,
@@ -333,6 +341,128 @@ def test_sphere_addition_theorem_vs_spherical_harmonics():
 def test_sphere_requires_d_at_least_3():
     with pytest.raises(ValueError):
         sphere_zonal_spectrum(lambda t: np.ones_like(t), 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# zonal summary
+
+
+def _sphere_points(n, d, seed, shift=0.4):
+    g = np.random.default_rng(seed).standard_normal((n, d))
+    g[:, 0] += shift
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _reference_mean_sq(basis, X):
+    """Per-degree eval_gegenbauer sums over the full n x n Gram matrix."""
+    n = X.shape[0]
+    t = np.clip(X @ X.T, -1.0, 1.0)
+    nu = (basis.d - 2) / 2.0
+    return np.array([
+        mult * np.sum(special.eval_gegenbauer(int(k), nu, t)
+                      / special.eval_gegenbauer(int(k), nu, 1.0)) / (n * n)
+        for k, mult in zip(basis.degrees, basis.multiplicities)])
+
+
+def _zonal_bases(d):
+    gaussian = sphere_zonal_spectrum(gaussian_sphere_profile(1.0), d, 20)
+    gaps = SphereZonalBasis([0.5, 0.2, 0.1, 0.01], [1, 3, 4, 9], d)
+    return gaussian, gaps
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("n", [1, _ZONAL_BLOCK - 1, _ZONAL_BLOCK, _ZONAL_BLOCK + 1,
+                               2 * _ZONAL_BLOCK + 3])
+def test_zonal_summary_matches_gegenbauer_reference(d, n):
+    X = _sphere_points(n, d, seed=10 * d + n)
+    for basis in _zonal_bases(d):
+        s = basis.summary(X)
+        assert np.allclose(s.mean_sq, _reference_mean_sq(basis, X), rtol=1e-10, atol=0)
+        assert np.array_equal(s.group_eigenvalues, basis.degree_eigenvalues)
+        assert np.array_equal(s.diag_mean, basis.multiplicities)
+
+
+_SPHERE_BASES = {d: _zonal_bases(d) for d in (3, 4)}
+_sphere_cases = st.tuples(st.sampled_from([3, 4]), st.integers(1, 2 * _ZONAL_BLOCK + 5),
+                          st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sphere_cases)
+def test_zonal_summary_permutation_invariant(case):
+    d, n, seed, gaps = case
+    basis = _SPHERE_BASES[d][gaps]
+    X = _sphere_points(n, d, seed)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    assert np.allclose(basis.summary(X[perm]).mean_sq, basis.summary(X).mean_sq,
+                       rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sphere_cases)
+def test_zonal_summary_duplication_invariant(case):
+    d, n, seed, gaps = case
+    basis = _SPHERE_BASES[d][gaps]
+    X = _sphere_points(n, d, seed)
+    assert np.allclose(basis.summary(np.vstack([X, X])).mean_sq, basis.summary(X).mean_sq,
+                       rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sphere_cases)
+def test_zonal_gram_identity(case):
+    d, n, seed, gaps = case
+    basis = _SPHERE_BASES[d][gaps]
+    X = _sphere_points(n, d, seed)
+    gram = basis.kernel_matrix(X).sum() / (n * n)
+    s = basis.summary(X)
+    assert gram == pytest.approx(float(np.sum(s.group_eigenvalues * s.mean_sq)),
+                                 rel=1e-10, abs=1e-13)
+
+
+def test_zonal_summary_memory_is_linear_in_n():
+    basis = _SPHERE_BASES[3][0]
+    X = _sphere_points(4000, 3, seed=7, shift=0.0)
+    tracemalloc.start()
+    try:
+        basis.summary(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n Gram matrix alone would be 128 MB
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.array([[0.6, 0.8, 0.0, 0.0]]), "columns"),
+    (np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]), "non-finite"),
+    (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 1e-6]]), "unit sphere"),
+])
+def test_zonal_rejects_points_off_the_sphere(bad, match):
+    basis = _SPHERE_BASES[3][0]
+    for call in (basis.summary, basis.kernel_matrix, basis.kernel_diag):
+        with pytest.raises(ValueError, match=match):
+            call(bad)
+    good = _sphere_points(3, 3, seed=0)
+    with pytest.raises(ValueError, match=match):
+        basis.kernel_matrix(good, bad)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.array([[0.6, 0.8], [1.0, 0.0]]), "columns"),
+    (np.array([[0.0, 0.0, 1.1], [0.0, 1.0, 0.0]]), "unit sphere"),
+])
+def test_cli_test_rejects_off_sphere_csv(tmp_path, monkeypatch, capsys, rows, match):
+    monkeypatch.setenv("GOFKIT_CACHE_DIR", str(tmp_path / "cache"))
+    spec = tmp_path / "sph.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
+                     "uniform-sphere-3", "--trunc", "8", "--nodes", "64",
+                     "--out", str(spec), "--quiet"]) == 0
+    data = tmp_path / "x.csv"
+    np.savetxt(data, rows, delimiter=",")
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(spec),
+                     "--data", str(data)]) == 1
+    assert match in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

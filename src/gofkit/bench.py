@@ -15,12 +15,11 @@ from . import dists
 from .embedding import (
     Sample,
     adaptive_grid,
-    adaptive_stat,
-    mmd_vstat,
+    null_calibration,
     rho_schedule,
-    studentized_stat,
+    statistic,
 )
-from .spectrum import ModeratedSpectrum, SpectralBasis
+from .spectrum import SpectralBasis
 
 CSV_HEADER = ["test", "n", "dim", "alternative", "replicate", "reject",
               "statistic", "threshold", "seed"]
@@ -37,8 +36,8 @@ class ExperimentPlan:
     reps: int = 100
     alpha: float = 0.05
     seed: int = 0
-    mmd_calibration_reps: int = 100_000
-    adaptive_calibration_reps: int = 200
+    mmd_calibration_reps: int = cal.CHISQ_REPS
+    adaptive_calibration_reps: int = cal.EMPIRICAL_REPS
     theta: float = 0.0
 
     def __post_init__(self):
@@ -114,54 +113,41 @@ def _replicate_seed(master: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(indices))
 
 
-def _statistic_and_threshold(kind, basis, sample, calibration, rho, grid):
-    if kind == "mmd":
-        stat = sample.n * mmd_vstat(basis, sample)
-    elif kind == "m3d":
-        stat = studentized_stat(ModeratedSpectrum(basis, rho), sample)
-    else:
-        stat = adaptive_stat(basis, grid, sample).value
-    return stat, calibration.quantile
-
-
-def _calibration_for(kind, basis, n, plan) -> tuple:
-    """Returns (calibration, rho, grid) for one (test, n) cell."""
-    rho = None
-    grid = None
-    if kind == "mmd":
-        seed = int(_replicate_seed(plan.seed, 0).generate_state(1)[0])
-        calib = cal.chisq_mix_quantile(basis.eigenvalues, plan.alpha,
-                                       reps=plan.mmd_calibration_reps, seed=seed)
-    elif kind == "m3d":
-        rho = rho_schedule(n, basis.decay_exponent, plan.theta)
-        calib = cal.normal_calibration(plan.alpha)
-    else:
-        grid = adaptive_grid(n, basis.decay_exponent)
-        sampler = dists.null_sampler(basis.null_id)
-        seed = int(_replicate_seed(plan.seed, 1, n).generate_state(1)[0])
-        calib = cal.empirical_null_quantile(
-            lambda s: adaptive_stat(basis, grid, s).value,
-            lambda size, rng: Sample(sampler(size, rng)),
-            n, plan.alpha, reps=plan.adaptive_calibration_reps, seed=seed)
-    return calib, rho, grid
+def _calibration_seed(master: int, kind: str, n: Optional[int] = None) -> tuple:
+    """(spawn key, seed) of a calibration: adaptive's null depends on n,
+    the others' do not."""
+    key = (1, n) if kind == "adaptive" else (0,)
+    return key, int(_replicate_seed(master, *key).generate_state(1)[0])
 
 
 def run_plan(plan: ExperimentPlan) -> PowerTable:
-    """Execute the full factorial; deterministic given the plan's master seed."""
+    """Execute the full factorial; deterministic given the plan's master seed.
+
+    Each distinct calibration is computed once, however many n share it.
+    """
     basis = plan.basis
     table = PowerTable()
     alt_labels = sorted(plan.alternatives)
+    reps = {"mmd": plan.mmd_calibration_reps,
+            "adaptive": plan.adaptive_calibration_reps}
+    calibrations = {}
     for t_idx, kind in enumerate(plan.tests):
         for n_idx, n in enumerate(plan.n_list):
-            calib, rho, grid = _calibration_for(kind, basis, n, plan)
+            rho = (rho_schedule(n, basis.decay_exponent, plan.theta)
+                   if kind == "m3d" else None)
+            grid = adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
+            key, seed = _calibration_seed(plan.seed, kind, n)
+            if (kind, key) not in calibrations:
+                calibrations[kind, key] = null_calibration(
+                    kind, basis, n, plan.alpha, reps=reps.get(kind), seed=seed, grid=grid)
+            thr = calibrations[kind, key].quantile
             for a_idx, label in enumerate(alt_labels):
                 spec = plan.alternatives[label]
                 for rep in range(plan.reps):
                     ss = _replicate_seed(plan.seed, 2, t_idx, n_idx, a_idx, rep)
                     rep_seed = int(ss.generate_state(1)[0])
                     sample = Sample(dists.sample(spec, n, seed=ss))
-                    stat, thr = _statistic_and_threshold(
-                        kind, basis, sample, calib, rho, grid)
+                    stat = statistic(kind, basis, sample, rho=rho, grid=grid)
                     table.rows.append(PowerRow(
                         test=kind, n=n, dim=spec.dim, alternative=label,
                         replicate=rep, reject=bool(stat > thr),
@@ -179,25 +165,21 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
                    deltas: Union[Sequence[float], Callable[[int], Sequence[float]]],
                    reps: int, seed: int, *, alpha: float = 0.05,
                    alt_mode: str = "multi",
-                   mmd_calibration_reps: int = 100_000) -> List[dict]:
+                   mmd_calibration_reps: int = cal.CHISQ_REPS) -> List[dict]:
     """Power of ``kind`` against least-favorable alternatives on a (n, delta) grid.
 
     ``deltas`` may be a fixed separation list or a callable n -> list.
-    Returns rows of {"n", "delta", "power"}.
+    Returns rows of {"n", "delta", "power"}.  Neither test's null depends on
+    n, so one calibration serves the whole grid.
     """
+    if kind not in ("mmd", "m3d"):
+        raise ValueError("boundary probe supports 'mmd' and 'm3d'")
+    thr = null_calibration(kind, basis, None, alpha, reps=mmd_calibration_reps,
+                           seed=_calibration_seed(seed, kind)[1]).quantile
     rows = []
     for n_idx, n in enumerate(n_list):
         dgrid = deltas(n) if callable(deltas) else deltas
-        if kind == "mmd":
-            mc_seed = int(_replicate_seed(seed, 0).generate_state(1)[0])
-            calib = cal.chisq_mix_quantile(basis.eigenvalues, alpha,
-                                           reps=mmd_calibration_reps, seed=mc_seed)
-            rho = None
-        elif kind == "m3d":
-            calib = cal.normal_calibration(alpha)
-            rho = rho_schedule(n, s, theta)
-        else:
-            raise ValueError("boundary probe supports 'mmd' and 'm3d'")
+        rho = rho_schedule(n, s, theta) if kind == "m3d" else None
         for d_idx, delta in enumerate(dgrid):
             rejects = 0
             for rep in range(reps):
@@ -209,9 +191,7 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
                     alt = dists.least_favorable(basis, n, s, theta, delta,
                                                 seed=ss, mode=alt_mode)
                     sample = Sample(dists.sample(alt, n, seed=ss.spawn(1)[0]))
-                stat, thr = _statistic_and_threshold(
-                    kind, basis, sample, calib, rho, None)
-                rejects += stat > thr
+                rejects += statistic(kind, basis, sample, rho=rho) > thr
             rows.append({"n": n, "delta": float(delta), "power": rejects / reps})
     return rows
 

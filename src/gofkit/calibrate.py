@@ -8,6 +8,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
+# default Monte-Carlo sizes: chi-square-mixture draws (mmd) and null
+# replications of the statistic (adaptive)
+CHISQ_REPS = 100_000
+EMPIRICAL_REPS = 200
+
 
 @dataclass(frozen=True)
 class NullCalibration:
@@ -61,7 +66,7 @@ def normal_calibration(alpha: float) -> NullCalibration:
                            quantile=normal_quantile(alpha), reps=None, seed=None)
 
 
-def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = 100_000,
+def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = CHISQ_REPS,
                        seed: Optional[int] = None, *,
                        tail_mass: float = 0.0,
                        chunk: int = 8192) -> NullCalibration:
@@ -92,7 +97,7 @@ def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = 100_000,
 
 
 def empirical_null_quantile(statistic: Callable, null_sampler: Callable,
-                            n: int, alpha: float, reps: int = 200,
+                            n: int, alpha: float, reps: int = EMPIRICAL_REPS,
                             seed: Optional[int] = None) -> NullCalibration:
     """Sample (1-alpha) quantile of ``statistic`` over null replications.
 

@@ -11,8 +11,9 @@ import sys
 import numpy as np
 
 from . import bench, calibrate as cal, dists, kernels
-from .embedding import Sample, adaptive_grid, adaptive_stat, run_test
+from .embedding import Sample, null_calibration, run_test
 from .spectrum import (
+    SPEC_FORMAT,
     DecompositionError,
     cosine_basis,
     gauss_legendre_01,
@@ -22,9 +23,6 @@ from .spectrum import (
     sphere_zonal_spectrum,
     tensor_product_basis,
 )
-
-CACHE_VERSION = "GOFKIT-SPEC v1"
-
 
 class CliError(Exception):
     """Validation failure; maps to exit status 1."""
@@ -38,9 +36,6 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; required on all Monte-Carlo paths")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker budget (execution is sequential and "
-                        "deterministic regardless; default 1)")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults; explicit flags override")
     p.add_argument("--quiet", action="store_true",
@@ -79,8 +74,6 @@ def build_parser() -> _Parser:
                    help="moderation parameter (m3d)")
     p.add_argument("--theta", type=float, default=None,
                    help="derive rho from the rate-optimal schedule (m3d)")
-    p.add_argument("--grid", default="auto",
-                   help="adaptive grid; only 'auto' is supported")
     p.add_argument("--calibrate", default=None,
                    help="mc:REPS | theory | normal (default per kind)")
     p.add_argument("--calibration", default=None,
@@ -139,7 +132,7 @@ def _cache_dir() -> str:
 
 def _cache_key(kernel, null, trunc, nodes, center) -> str:
     raw = "|".join([kernel, null, str(trunc), str(nodes), str(int(center)),
-                    CACHE_VERSION])
+                    SPEC_FORMAT])
     return hashlib.sha256(raw.encode()).hexdigest()[:24] + ".spec"
 
 
@@ -241,8 +234,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_test(args) -> int:
     basis = load_spectrum(args.spectrum)
     sample = Sample.from_csv(args.data)
-    if args.grid != "auto":
-        raise CliError("--grid supports only 'auto'")
 
     calibration = None
     threshold = "mc"
@@ -254,8 +245,6 @@ def _cmd_test(args) -> int:
         if mode == "mc":
             calibrate_reps = int(arg) if arg else None
         elif mode == "theory":
-            if args.kind != "adaptive":
-                raise CliError("theory calibration applies to the adaptive test")
             threshold = "theory"
         elif mode == "normal":
             if args.kind != "m3d":
@@ -263,37 +252,20 @@ def _cmd_test(args) -> int:
         else:
             raise CliError("unknown --calibrate mode %r" % args.calibrate)
 
-    needs_mc = calibration is None and threshold == "mc" and args.kind != "m3d"
-    seed = args.seed
-    if needs_mc:
-        seed = _require_seed(seed, "Monte-Carlo calibration")
-
     report = run_test(args.kind, basis, sample, args.alpha,
                       rho=args.rho, theta=args.theta,
                       calibration=calibration,
                       calibrate_reps=calibrate_reps,
-                      seed=seed, threshold=threshold)
+                      seed=args.seed, threshold=threshold)
     _say(args, report.to_text())
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     basis = load_spectrum(args.spectrum)
-    if args.kind == "m3d":
-        c = cal.normal_calibration(args.alpha)
-    elif args.kind == "mmd":
-        seed = _require_seed(args.seed, "Monte-Carlo calibration")
-        c = cal.chisq_mix_quantile(basis.eigenvalues, args.alpha,
-                                   reps=args.reps or 100_000, seed=seed)
-    else:
-        seed = _require_seed(args.seed, "Monte-Carlo calibration")
-        grid = adaptive_grid(args.n, basis.decay_exponent)
-        sampler = dists.null_sampler(basis.null_id)
-        c = cal.empirical_null_quantile(
-            lambda s: adaptive_stat(basis, grid, s).value,
-            lambda size, rng: Sample(sampler(size, rng)),
-            args.n, args.alpha, reps=args.reps or 200, seed=seed)
+    c = null_calibration(args.kind, basis, args.n, args.alpha,
+                         reps=args.reps, seed=args.seed)
     with open(args.out, "w") as fh:
         json.dump(_calibration_to_dict(c), fh)
         fh.write("\n")
@@ -316,8 +288,8 @@ def _plan_from_config(cfg: dict, seed_override=None) -> bench.ExperimentPlan:
         tests=list(cfg["tests"]), n_list=[int(n) for n in cfg["n"]],
         reps=int(cfg.get("reps", 100)), alpha=float(cfg.get("alpha", 0.05)),
         seed=int(seed),
-        mmd_calibration_reps=int(calib.get("mmd_reps", 100_000)),
-        adaptive_calibration_reps=int(calib.get("adaptive_reps", 200)),
+        mmd_calibration_reps=int(calib.get("mmd_reps", cal.CHISQ_REPS)),
+        adaptive_calibration_reps=int(calib.get("adaptive_reps", cal.EMPIRICAL_REPS)),
         theta=float(calib.get("theta", 0.0)))
 
 
@@ -354,8 +326,7 @@ def _cmd_reproduce(args) -> int:
         alternatives={"gaussian-mixture": mixture},
         tests=["mmd", "m3d"],
         n_list=[200, 400, 600, 800, 1000],
-        reps=100, alpha=0.05, seed=seed,
-        mmd_calibration_reps=100_000)
+        reps=100, alpha=0.05, seed=seed)
     return _run_and_emit(plan, out_dir, args)
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .spectrum import SpectralBasis, sphere_surface_area
+from .spectrum import SpectralBasis, parse_null_id, sphere_surface_area
 
 _GL_NODES = 256
 
@@ -97,13 +97,10 @@ def uniform_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def null_sampler(null_id: str):
     """Sampler (n, rng) -> points for a named null distribution."""
-    if null_id.startswith("uniform-cube-"):
-        d = int(null_id.rsplit("-", 1)[1])
+    family, d = parse_null_id(null_id)
+    if family == "uniform-cube":
         return lambda n, rng: rng.random((n, d))
-    if null_id.startswith("uniform-sphere-"):
-        d = int(null_id.rsplit("-", 1)[1])
-        return lambda n, rng: uniform_sphere(n, d, rng)
-    raise ValueError("unknown null id: %r" % null_id)
+    return lambda n, rng: uniform_sphere(n, d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +553,7 @@ def least_favorable(basis: SpectralBasis, n: int, s: float, theta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    dim = _basis_dim(basis)
+    dim = parse_null_id(basis.null_id)[1]
     if mode == "single":
         k_n = int(c2 * n ** (1.0 / (4.0 * s)))
         if k_n < 1 or k_n > basis.truncation:
@@ -576,14 +573,6 @@ def least_favorable(basis: SpectralBasis, n: int, s: float, theta: float,
         raise ValueError("mode must be 'multi' or 'single'")
     return AlternativeSpec(family="spectral", dim=dim,
                            params={"basis": basis, "coefficients": coeffs})
-
-
-def _basis_dim(basis: SpectralBasis) -> int:
-    null_id = basis.null_id
-    for prefix in ("uniform-cube-", "uniform-sphere-"):
-        if null_id.startswith(prefix):
-            return int(null_id[len(prefix):])
-    raise ValueError("basis null id does not encode a dimension: %r" % null_id)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import calibrate as cal
+from . import dists
 from .spectrum import (
     ModeratedSpectrum,
     SampleSummary,
@@ -129,22 +131,17 @@ class AdaptiveStat(NamedTuple):
 # statistics
 
 
-def _summary(basis: SpectralBasis, sample: Sample) -> SampleSummary:
-    return basis.summary(sample.points)
-
-
 def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:
     """Empirical squared MMD, sum_k lambda_k (mean_i phi_k(X_i))^2."""
     if not basis.degenerate:
         raise ValueError("MMD requires a degenerate (centered) basis")
-    s = _summary(basis, sample)
+    s = basis.summary(sample.points)
     return float(np.sum(s.group_eigenvalues * s.mean_sq))
 
 
 def eta_sq(ms: ModeratedSpectrum, sample: Sample) -> float:
     """Empirical squared moderated MMD."""
-    s = _summary(ms.basis, sample)
-    return _eta_from_summary(s, ms.rho)
+    return _eta_from_summary(ms.basis.summary(sample.points), ms.rho)
 
 
 def _eta_from_summary(s: SampleSummary, rho: float) -> float:
@@ -173,26 +170,28 @@ def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
 
 def studentized_stat(ms: ModeratedSpectrum, sample: Sample) -> float:
     """(2 v)^{-1/2} (n eta^2 - diag term); asymptotically N(0,1) under the null."""
+    return _studentized_from_summary(ms, ms.basis.summary(sample.points), sample.n)
+
+
+def _studentized_from_summary(ms: ModeratedSpectrum, s: SampleSummary, n: int) -> float:
     v = effective_variance(ms)
     if v <= 0:
         raise ValueError("effective variance must be positive")
-    s = _summary(ms.basis, sample)
-    return _studentized_from_summary(ms.basis, s, sample.n, ms.rho)
-
-
-def _studentized_from_summary(basis, s: SampleSummary, n: int, rho: float) -> float:
-    ms = ModeratedSpectrum(basis, rho)
-    v = effective_variance(ms)
-    num = n * _eta_from_summary(s, rho) - _diag_from_summary(s, rho)
+    num = n * _eta_from_summary(s, ms.rho) - _diag_from_summary(s, ms.rho)
     return num / math.sqrt(2.0 * v)
+
+
+def _check_decay(s: float) -> None:
+    if not s > 0.5:  # NaN fails too
+        raise ValueError("decay exponent s must exceed 1/2, got %r (a spectrum "
+                         "with K < 8 eigenvalues has no fitted s)" % s)
 
 
 def rho_schedule(n: int, s: float, theta: float = 0.0, c: float = 1.0) -> float:
     """Rate-optimal moderation c n^{-2 s (theta+1) / (4 s + theta + 1)}."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if s <= 0.5:
-        raise ValueError("decay exponent s must exceed 1/2")
+    _check_decay(s)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if c <= 0:
@@ -204,8 +203,7 @@ def adaptive_grid(n: int, s: float) -> RhoGrid:
     """Dyadic grid from rho_* = (sqrt(log log n)/n)^{2s} up past the target scale."""
     if n < 16:
         raise ValueError("adaptive grid requires n >= 16")
-    if s <= 0.5:
-        raise ValueError("decay exponent s must exceed 1/2")
+    _check_decay(s)
     root = math.sqrt(math.log(math.log(n))) / n
     rho_star = root ** (2.0 * s)
     top = root ** (2.0 * s / (4.0 * s + 1.0))
@@ -224,15 +222,67 @@ def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> Adapti
     """Maximum of the studentized statistic over the moderation grid."""
     if grid.values.size == 0:
         raise ValueError("grid must be nonempty")
-    s = _summary(basis, sample)
+    s = basis.summary(sample.points)
     best = -math.inf
     best_rho = grid.values[0]
     for rho in grid.values:
-        t = _studentized_from_summary(basis, s, sample.n, float(rho))
+        t = _studentized_from_summary(ModeratedSpectrum(basis, float(rho)), s, sample.n)
         if t > best:
             best = t
             best_rho = float(rho)
     return AdaptiveStat(value=best, argmax_rho=best_rho)
+
+
+# ---------------------------------------------------------------------------
+# dispatch: the one place that knows each test's statistic and null.  Callees
+# are looked up at call time, so patching e.g. ``cal.chisq_mix_quantile``
+# reaches every caller.
+
+
+def statistic(kind: str, basis: SpectralBasis, sample: Sample, *,
+              rho: Optional[float] = None, grid: Optional[RhoGrid] = None) -> float:
+    """n MMD^2 (mmd), the studentized moderated MMD at ``rho`` (m3d) or its
+    maximum over ``grid`` (adaptive)."""
+    if kind == "mmd":
+        return sample.n * mmd_vstat(basis, sample)
+    if kind == "m3d":
+        return studentized_stat(ModeratedSpectrum(basis, rho), sample)
+    if kind == "adaptive":
+        return adaptive_stat(basis, grid, sample).value
+    raise ValueError("unknown test kind: %r" % kind)
+
+
+def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: float, *,
+                     reps: Optional[int] = None, seed: Optional[int] = None,
+                     grid: Optional[RhoGrid] = None,
+                     theory: bool = False) -> cal.NullCalibration:
+    """Null calibration of test ``kind`` at sample size ``n``: chi-square-
+    mixture MC for mmd (independent of n), the normal quantile for m3d, and
+    empirical MC over null samples for adaptive (or, with ``theory``, the
+    sqrt(3 log log n) threshold).  ``reps=None`` takes the calibrator's
+    default; Monte-Carlo needs a seed."""
+    if kind not in ("mmd", "m3d", "adaptive"):
+        raise ValueError("unknown test kind: %r" % kind)
+    if theory:
+        if kind != "adaptive":
+            raise ValueError("theory calibration applies to the adaptive test")
+        return cal.NullCalibration(method="theory-loglog", alpha=alpha,
+                                   quantile=theory_threshold(n), reps=None, seed=None)
+    if kind == "m3d":
+        return cal.normal_calibration(alpha)
+    if seed is None:
+        raise ValueError("Monte-Carlo calibration requires a seed (--seed)")
+    if kind == "mmd":
+        return cal.chisq_mix_quantile(
+            basis.eigenvalues, alpha,
+            reps=cal.CHISQ_REPS if reps is None else reps, seed=seed)
+    if grid is None:
+        grid = adaptive_grid(n, basis.decay_exponent)
+    sampler = dists.null_sampler(basis.null_id)
+    return cal.empirical_null_quantile(
+        lambda smp: adaptive_stat(basis, grid, smp).value,
+        lambda size, rng: Sample(sampler(size, rng)),
+        n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,71 +299,42 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
              threshold: str = "mc") -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
-    ``calibration`` may be a precomputed NullCalibration; otherwise it is
-    built here (mmd: chi-square-mixture MC; m3d: normal; adaptive: empirical
-    MC over null replications, or the theoretical threshold for
-    ``threshold='theory'``).
+    m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`;
+    adaptive takes ``grid`` or uses :func:`adaptive_grid`.  ``calibration``
+    may be a precomputed NullCalibration; otherwise :func:`null_calibration`
+    builds one from ``calibrate_reps`` and ``seed`` (``threshold='theory'``
+    selects the adaptive test's theory threshold).
     """
-    from . import calibrate as _cal
-    from . import dists as _dists
-
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n = sample.n
     params: dict = {"K": basis.truncation, "alpha": alpha}
-
-    if kind == "mmd":
-        stat = n * mmd_vstat(basis, sample)
-        if calibration is None:
-            if seed is None:
-                raise ValueError("Monte-Carlo calibration requires a seed")
-            calibration = _cal.chisq_mix_quantile(
-                basis.eigenvalues, alpha, reps=calibrate_reps or 100_000, seed=seed)
-        thr = calibration.quantile
-        pval = calibration.p_value(stat)
-    elif kind == "m3d":
+    if kind == "m3d":
         if rho is None:
             if theta is None:
                 raise ValueError("m3d requires rho (or theta for the schedule)")
             rho = rho_schedule(n, basis.decay_exponent, theta)
         params["rho"] = rho
-        stat = studentized_stat(ModeratedSpectrum(basis, rho), sample)
-        if calibration is None:
-            calibration = _cal.normal_calibration(alpha)
-        thr = calibration.quantile
-        pval = calibration.p_value(stat)
-    elif kind == "adaptive":
+    if kind == "adaptive":
         if grid is None:
             grid = adaptive_grid(n, basis.decay_exponent)
-        params["rho_star"] = grid.rho_star
-        params["m_star"] = grid.m_star
         res = adaptive_stat(basis, grid, sample)
         stat = res.value
-        params["argmax_rho"] = res.argmax_rho
-        params["theory_threshold"] = theory_threshold(n)
-        if threshold == "theory":
-            calibration = _cal.NullCalibration(
-                method="theory-loglog", alpha=alpha,
-                quantile=theory_threshold(n), reps=None, seed=None)
-        elif calibration is None:
-            if seed is None:
-                raise ValueError("Monte-Carlo calibration requires a seed")
-            sampler = _dists.null_sampler(basis.null_id)
-            calibration = _cal.empirical_null_quantile(
-                lambda smp: adaptive_stat(basis, grid, smp).value,
-                lambda size, rng: Sample(sampler(size, rng)),
-                n, alpha, reps=calibrate_reps or 200, seed=seed)
-        thr = calibration.quantile
-        pval = calibration.p_value(stat)
+        params.update(rho_star=grid.rho_star, m_star=grid.m_star,
+                      argmax_rho=res.argmax_rho, theory_threshold=theory_threshold(n))
     else:
-        raise ValueError("unknown test kind: %r" % kind)
-
+        stat = statistic(kind, basis, sample, rho=rho)
+    if calibration is None:
+        calibration = null_calibration(kind, basis, n, alpha, reps=calibrate_reps,
+                                       seed=seed, grid=grid,
+                                       theory=threshold == "theory")
+    thr = calibration.quantile
     return TestReport(
         kind=kind,
         statistic=float(stat),
         threshold=float(thr),
         reject=bool(stat > thr),
-        p_value=pval,
+        p_value=calibration.p_value(stat),
         alpha=alpha,
         calibration_method=calibration.method,
         calibration_reps=calibration.reps,

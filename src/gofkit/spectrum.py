@@ -117,11 +117,33 @@ class SpectralBasis:
     def has_features(self) -> bool:
         return self._feature_fn is not None
 
+    def _points(self, X) -> np.ndarray:
+        """X as an (n, d) array.  For a uniform cube or sphere null, ValueError
+        unless X has d finite columns and its rows lie on the null's support
+        within ``_SUPPORT_TOL``."""
+        X = _as_points(X)
+        if not self.null_id.startswith(("uniform-cube-", "uniform-sphere-")):
+            return X
+        family, d = parse_null_id(self.null_id)
+        if X.shape[1] != d:
+            raise ValueError("points have %d columns, %s needs %d"
+                             % (X.shape[1], self.null_id, d))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("points contain non-finite values")
+        if family == "uniform-cube":
+            off = max(-X.min(initial=0.0), X.max(initial=1.0) - 1.0)
+            support = "outside [0,1]^%d" % d
+        else:
+            off = np.abs(np.linalg.norm(X, axis=1) - 1.0).max(initial=0.0)
+            support = "off the unit sphere"
+        if off > _SUPPORT_TOL:
+            raise ValueError("points lie %s (by %.3g)" % (support, off))
+        return X
+
     def features(self, X: np.ndarray) -> np.ndarray:
         if self._feature_fn is None:
             raise NotImplementedError("basis has no explicit eigenfunctions")
-        X = _as_points(X)
-        return self._feature_fn(X)
+        return self._feature_fn(self._points(X))
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         """Sum_k weights_k phi_k(x) phi_k(y) on all pairs (default: the kernel)."""
@@ -186,9 +208,10 @@ class SphereZonalBasis(SpectralBasis):
 
     Harmonics of degree k share one eigenvalue with multiplicity N(d, k);
     they are never materialized individually.  Points must be unit vectors
-    in R^d.  :meth:`summary` costs O(n^2 degree_max) time and O(block n)
-    memory: it walks the Gram matrix in blocks of rows and steps one
-    Gegenbauer recurrence through every degree up to ``max(degrees)``.
+    in R^d (the null id defaults to uniform-sphere-d).  :meth:`summary`
+    costs O(n^2 degree_max) time and O(block n) memory: it walks the Gram
+    matrix in blocks of rows and steps one Gegenbauer recurrence through
+    every degree up to ``max(degrees)``.
     """
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
@@ -207,20 +230,8 @@ class SphereZonalBasis(SpectralBasis):
         self._block_start = np.concatenate(
             ([0], np.cumsum(self.multiplicities.astype(int))[:-1])
         )
+        kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
         super().__init__(expanded, None, **kw)
-
-    def _points(self, X) -> np.ndarray:
-        """X as an (n, d) array of unit vectors; ValueError otherwise."""
-        X = _as_points(X)
-        if X.shape[1] != self.d:
-            raise ValueError("points have %d columns, S^%d needs %d"
-                             % (X.shape[1], self.d - 1, self.d))
-        if not np.all(np.isfinite(X)):
-            raise ValueError("points contain non-finite values")
-        off = np.abs(np.linalg.norm(X, axis=1) - 1.0).max()
-        if off > _SPHERE_NORM_TOL:
-            raise ValueError("points are off the unit sphere (max ||x| - 1| = %.3g)" % off)
-        return X
 
     def _degree_weights(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
@@ -275,7 +286,9 @@ class SphereZonalBasis(SpectralBasis):
 # rows per block in SphereZonalBasis.summary: a block of the Gram matrix and
 # the recurrence's terms stay in cache (256 rows ran 2.3x slower at n = 1000)
 _ZONAL_BLOCK = 64
-_SPHERE_NORM_TOL = 1e-8
+# how far a point may sit off the null's support: outside [0,1]^d, or by
+# | ||x|| - 1 | off the unit sphere
+_SUPPORT_TOL = 1e-8
 
 
 def _normalized_gegenbauer(t: np.ndarray, nu: float, k_max: int):
@@ -322,6 +335,15 @@ def moderate(eigenvalues: np.ndarray, rho: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def parse_null_id(null_id: str) -> tuple[str, int]:
+    """("uniform-cube" | "uniform-sphere", d) from a null id such as
+    "uniform-cube-5"; ValueError for any other id."""
+    family, _, d = null_id.rpartition("-")
+    if family not in ("uniform-cube", "uniform-sphere") or not d.isdigit():
+        raise ValueError("unknown null id: %r" % null_id)
+    return family, int(d)
 
 
 def _as_points(X) -> np.ndarray:
@@ -644,7 +666,8 @@ def cosine_basis(K: int, *, with_tail: bool = True) -> SpectralBasis:
 # ---------------------------------------------------------------------------
 # spectrum cache (binary, little-endian, version-stamped)
 
-_MAGIC = b"GOFKIT-SPEC v1\n"
+SPEC_FORMAT = "GOFKIT-SPEC v1"
+_MAGIC = (SPEC_FORMAT + "\n").encode()
 
 
 def save_spectrum(basis: SpectralBasis, path) -> None:
@@ -699,7 +722,7 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError("not a GOFKIT-SPEC v1 spectrum cache")
+            raise ValueError("not a %s spectrum cache" % SPEC_FORMAT)
         hlen = struct.unpack("<I", fh.read(4))[0]
         header = json.loads(fh.read(hlen).decode())
 

@@ -197,3 +197,60 @@ def test_config_file_supplies_defaults(spectrum_file, data_file, tmp_path,
     record = json.loads(capsys.readouterr().out.strip())
     assert record["alpha"] == pytest.approx(0.1)
     assert record["parameters"]["rho"] == pytest.approx(0.1)
+
+
+@pytest.fixture()
+def centered_file(tmp_path, cache_dir):
+    out = tmp_path / "centered.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
+                     "uniform-cube-1", "--trunc", "16", "--nodes", "128",
+                     "--center", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"]])
+def test_removed_flags_exit_1(centered_file, data_file, flag, capsys):
+    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--rho", "0.1", *flag]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["mmd", "m3d", "adaptive"])
+@pytest.mark.parametrize("rows, match", [
+    (np.full((20, 3), 0.5), "columns"),
+    (np.r_[np.linspace(0.0, 1.0, 19), 7.0][:, None], "outside"),
+    (np.r_[np.linspace(0.0, 1.0, 19), np.nan][:, None], "non-finite"),
+])
+def test_cube_inputs_outside_the_method_exit_1(centered_file, tmp_path, capsys,
+                                                kind, rows, match):
+    data = tmp_path / "bad.csv"
+    np.savetxt(data, rows, delimiter=",")
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
+                     "--data", str(data), "--theta", "0", "--seed", "1",
+                     "--calibrate", "theory" if kind == "adaptive" else "mc"]) == 1
+    captured = capsys.readouterr()
+    assert match in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("m3d", ["--theta", "0"]),
+    ("adaptive", ["--calibrate", "theory"]),
+])
+def test_short_spectrum_has_no_schedule(tmp_path, cache_dir, data_file, capsys,
+                                        kind, flags):
+    spec = tmp_path / "k4.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
+                     "uniform-cube-1", "--trunc", "4", "--nodes", "128",
+                     "--center", "--out", str(spec), "--quiet"]) == 0
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(spec),
+                     "--data", str(data_file), *flags]) == 1
+    assert "K < 8" in capsys.readouterr().err
+
+
+def test_cache_key_is_built_from_the_spec_format():
+    from gofkit.spectrum import SPEC_FORMAT
+    assert SPEC_FORMAT == "GOFKIT-SPEC v1"
+    assert not hasattr(cli, "CACHE_VERSION")
+    # keys written by earlier releases stay valid
+    assert (cli._cache_key("cosine-ref", "uniform-cube-1", 16, 128, False)
+            == "14130262cff635e0fa69e370.spec")

@@ -1,0 +1,127 @@
+"""One statistic and one null calibration per test kind, shared by every caller."""
+import json
+
+import numpy as np
+import pytest
+
+from gofkit import calibrate as cal
+from gofkit import cli
+from gofkit.bench import ExperimentPlan, boundary_probe, run_plan
+from gofkit.dists import AlternativeSpec
+from gofkit.embedding import (
+    Sample,
+    adaptive_grid,
+    adaptive_stat,
+    null_calibration,
+    run_test,
+    statistic,
+)
+from gofkit.spectrum import cosine_basis, load_spectrum
+
+N = 40
+ALPHA = 0.05
+MASTER = 6
+REPS = {"mmd": 500, "m3d": None, "adaptive": 100}
+
+
+@pytest.fixture(scope="module")
+def centered_spec(tmp_path_factory):
+    d = tmp_path_factory.mktemp("dispatch")
+    spec = d / "cos.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "16", "--nodes", "128", "--center", "--no-cache",
+                     "--out", str(spec), "--quiet"]) == 0
+    return spec
+
+
+def _calibration_seed(kind):
+    # the plan's calibration seed: spawn key (0,) for mmd, (1, n) for adaptive
+    key = (1, N) if kind == "adaptive" else (0,)
+    return int(np.random.SeedSequence(MASTER, spawn_key=key).generate_state(1)[0])
+
+
+@pytest.fixture()
+def made(monkeypatch):
+    """Every NullCalibration the three calibrators return, in call order."""
+    out = []
+    for name in ("chisq_mix_quantile", "normal_calibration", "empirical_null_quantile"):
+        real = getattr(cal, name)
+
+        def spy(*args, _real=real, **kwargs):
+            c = _real(*args, **kwargs)
+            out.append(c)
+            return c
+
+        monkeypatch.setattr(cal, name, spy)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["mmd", "m3d", "adaptive"])
+def test_every_caller_gets_the_same_threshold(kind, centered_spec, tmp_path, made):
+    basis = load_spectrum(centered_spec)
+    seed = _calibration_seed(kind)
+    reps = REPS[kind]
+    if kind == "mmd":
+        direct = cal.chisq_mix_quantile(basis.eigenvalues, ALPHA, reps=reps, seed=seed)
+    elif kind == "m3d":
+        direct = cal.normal_calibration(ALPHA)
+    else:
+        grid = adaptive_grid(N, basis.decay_exponent)
+        direct = cal.empirical_null_quantile(
+            lambda smp: adaptive_stat(basis, grid, smp).value,
+            lambda size, rng: Sample(rng.random((size, 1))),
+            N, ALPHA, reps=reps, seed=seed)
+    want = direct.quantile
+
+    assert null_calibration(kind, basis, N, ALPHA, reps=reps, seed=seed).quantile == want
+    x = np.random.default_rng(1).random(N)
+    report = run_test(kind, basis, Sample(x), ALPHA, theta=0.0,
+                      calibrate_reps=reps, seed=seed)
+    assert report.threshold == want
+
+    plan = ExperimentPlan(
+        basis=basis, alternatives={"null": AlternativeSpec("uniform-cube", 1, {})},
+        tests=[kind], n_list=[N], reps=2, alpha=ALPHA, seed=MASTER,
+        mmd_calibration_reps=REPS["mmd"], adaptive_calibration_reps=REPS["adaptive"])
+    assert {row.threshold for row in run_plan(plan).rows} == {want}
+
+    if kind != "adaptive":
+        del made[:]
+        boundary_probe(basis, kind, 1.0, 0.0, [N], [0.0], reps=1, seed=MASTER,
+                       mmd_calibration_reps=REPS["mmd"])
+        assert [c.quantile for c in made] == [want]
+
+    out = tmp_path / "c.cal"
+    argv = ["calibrate", "--kind", kind, "--spectrum", str(centered_spec),
+            "--n", str(N), "--alpha", str(ALPHA), "--seed", str(seed),
+            "--out", str(out), "--quiet"]
+    assert cli.main(argv + (["--reps", str(reps)] if reps else [])) == 0
+    assert json.loads(out.read_text())["quantile"] == want
+
+
+def test_one_chisq_calibration_per_plan_and_per_probe(made):
+    basis = cosine_basis(16)
+    plan = ExperimentPlan(
+        basis=basis, alternatives={"null": AlternativeSpec("uniform-cube", 1, {})},
+        tests=["mmd"], n_list=[20, 30, 40], reps=2, seed=1, mmd_calibration_reps=500)
+    table = run_plan(plan)
+    assert len(made) == 1
+    assert len({row.threshold for row in table.rows}) == 1
+    del made[:]
+    boundary_probe(basis, "mmd", 1.0, 0.0, [20, 40], [0.0], reps=2, seed=1,
+                   mmd_calibration_reps=500)
+    assert len(made) == 1
+
+
+def test_statistic_and_calibration_reject_bad_requests():
+    basis = cosine_basis(16)
+    sample = Sample(np.full(20, 0.5))
+    with pytest.raises(ValueError, match="kind"):
+        statistic("ks", basis, sample)
+    with pytest.raises(ValueError, match="kind"):
+        null_calibration("ks", basis, 20, ALPHA, seed=1)
+    for kind in ("mmd", "m3d"):
+        with pytest.raises(ValueError, match="adaptive"):
+            null_calibration(kind, basis, 20, ALPHA, seed=1, theory=True)
+    with pytest.raises(ValueError, match="seed"):
+        null_calibration("adaptive", basis, 20, ALPHA)

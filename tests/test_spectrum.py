@@ -31,6 +31,7 @@ from gofkit.spectrum import (
     moderated_eval,
     monte_carlo_quadrature,
     nystrom_decompose,
+    parse_null_id,
     save_spectrum,
     sphere_zonal_spectrum,
     tensor_product_basis,
@@ -446,6 +447,42 @@ def test_zonal_rejects_points_off_the_sphere(bad, match):
     good = _sphere_points(3, 3, seed=0)
     with pytest.raises(ValueError, match=match):
         basis.kernel_matrix(good, bad)
+
+
+def _cube_bases():
+    cos = cosine_basis(16)
+    quad = gauss_legendre_01(64)
+    nys = nystrom_decompose(center_kernel(cosine_reference_kernel(), quad), quad, 8,
+                            null_id="uniform-cube-1")
+    return [(cos, 1), (nys, 1), (tensor_product_basis(cos, 3, 20), 3)]
+
+
+@pytest.mark.parametrize("basis, d", _cube_bases())
+def test_cube_bases_reject_points_outside_the_cube(basis, d):
+    good = np.random.default_rng(0).random((5, d))
+    bad_rows = [
+        (np.full((5, d + 1), 0.5), "columns"),
+        (np.where(np.arange(5)[:, None] == 2, np.nan, good), "non-finite"),
+        (np.where(np.arange(5)[:, None] == 2, np.inf, good), "non-finite"),
+        (np.where(np.arange(5)[:, None] == 2, 1.0 + 1e-6, good), "outside"),
+        (np.where(np.arange(5)[:, None] == 2, -1e-6, good), "outside"),
+    ]
+    for bad, match in bad_rows:
+        for call in (basis.summary, basis.features, basis.kernel_diag):
+            with pytest.raises(ValueError, match=match):
+                call(bad)
+    # the corners and round-off past them are inside
+    edge = np.vstack([np.zeros(d), np.ones(d), np.full(d, 1.0 + 1e-12), np.full(d, -1e-12)])
+    assert np.all(np.isfinite(basis.features(edge)))
+    assert basis.features(np.empty((0, d))).shape == (0, basis.truncation)
+
+
+def test_parse_null_id():
+    assert parse_null_id("uniform-cube-5") == ("uniform-cube", 5)
+    assert parse_null_id("uniform-sphere-3") == ("uniform-sphere", 3)
+    for bad in ("", "uniform-cube", "uniform-cube-1^3", "gaussian-2", "uniform-cube-x"):
+        with pytest.raises(ValueError, match="null id"):
+            parse_null_id(bad)
 
 
 @pytest.mark.parametrize("rows, match", [

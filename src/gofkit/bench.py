@@ -12,13 +12,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dists
-from .embedding import (
-    Sample,
-    adaptive_grid,
-    null_calibration,
-    rho_schedule,
-    statistic,
-)
+from .embedding import adaptive_grid, null_calibration, rho_schedule, statistic
 from .spectrum import SpectralBasis
 
 CSV_HEADER = ["test", "n", "dim", "alternative", "replicate", "reject",
@@ -123,16 +117,21 @@ def _calibration_seed(master: int, kind: str, n: Optional[int] = None) -> tuple:
 def run_plan(plan: ExperimentPlan) -> PowerTable:
     """Execute the full factorial; deterministic given the plan's master seed.
 
-    Each distinct calibration is computed once, however many n share it.
+    Each replicate is drawn from spawn key (2, 0, n, alternative, rep) and
+    summarised once, and every test reads that one summary, so the tests'
+    rows are paired (common random numbers).  Rows come out in (test, n,
+    alternative, rep) order.  Each distinct calibration is computed once,
+    however many n share it.
     """
     basis = plan.basis
-    table = PowerTable()
     alt_labels = sorted(plan.alternatives)
     reps = {"mmd": plan.mmd_calibration_reps,
             "adaptive": plan.adaptive_calibration_reps}
     calibrations = {}
-    for t_idx, kind in enumerate(plan.tests):
-        for n_idx, n in enumerate(plan.n_list):
+    rows = [[] for _ in plan.tests]
+    for n_idx, n in enumerate(plan.n_list):
+        tests = []  # (kind, rho, grid, threshold) per test at this n
+        for kind in plan.tests:
             rho = (rho_schedule(n, basis.decay_exponent, plan.theta)
                    if kind == "m3d" else None)
             grid = adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
@@ -140,20 +139,21 @@ def run_plan(plan: ExperimentPlan) -> PowerTable:
             if (kind, key) not in calibrations:
                 calibrations[kind, key] = null_calibration(
                     kind, basis, n, plan.alpha, reps=reps.get(kind), seed=seed, grid=grid)
-            thr = calibrations[kind, key].quantile
-            for a_idx, label in enumerate(alt_labels):
-                spec = plan.alternatives[label]
-                for rep in range(plan.reps):
-                    ss = _replicate_seed(plan.seed, 2, t_idx, n_idx, a_idx, rep)
-                    rep_seed = int(ss.generate_state(1)[0])
-                    sample = Sample(dists.sample(spec, n, seed=ss))
-                    stat = statistic(kind, basis, sample, rho=rho, grid=grid)
-                    table.rows.append(PowerRow(
+            tests.append((kind, rho, grid, calibrations[kind, key].quantile))
+        for a_idx, label in enumerate(alt_labels):
+            spec = plan.alternatives[label]
+            for rep in range(plan.reps):
+                ss = _replicate_seed(plan.seed, 2, 0, n_idx, a_idx, rep)
+                rep_seed = int(ss.generate_state(1)[0])
+                summary = basis.summary(dists.sample(spec, n, seed=ss))
+                for out, (kind, rho, grid, thr) in zip(rows, tests):
+                    stat = statistic(kind, basis, summary, rho=rho, grid=grid)
+                    out.append(PowerRow(
                         test=kind, n=n, dim=spec.dim, alternative=label,
                         replicate=rep, reject=bool(stat > thr),
                         statistic=float(stat), threshold=float(thr),
                         seed=rep_seed))
-    return table
+    return PowerTable([row for out in rows for row in out])
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +186,12 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
                 ss = _replicate_seed(seed, 3, n_idx, d_idx, rep)
                 if delta == 0.0:
                     sampler = dists.null_sampler(basis.null_id)
-                    sample = Sample(sampler(n, np.random.default_rng(ss)))
+                    x = sampler(n, np.random.default_rng(ss))
                 else:
                     alt = dists.least_favorable(basis, n, s, theta, delta,
                                                 seed=ss, mode=alt_mode)
-                    sample = Sample(dists.sample(alt, n, seed=ss.spawn(1)[0]))
-                rejects += statistic(kind, basis, sample, rho=rho) > thr
+                    x = dists.sample(alt, n, seed=ss.spawn(1)[0])
+                rejects += statistic(kind, basis, basis.summary(x), rho=rho) > thr
             rows.append({"n": n, "delta": float(delta), "power": rejects / reps})
     return rows
 

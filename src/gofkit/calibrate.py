@@ -12,6 +12,9 @@ from scipy import special
 # replications of the statistic (adaptive)
 CHISQ_REPS = 100_000
 EMPIRICAL_REPS = 200
+# chi-square-mixture draws per block, which bounds the memory of one
+# calibration at _CHISQ_CHUNK x K normals
+_CHISQ_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class NullCalibration:
     reps: Optional[int]
     seed: Optional[int]
     replicates: Optional[np.ndarray] = None
-    truncation_bias: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -67,13 +69,10 @@ def normal_calibration(alpha: float) -> NullCalibration:
 
 
 def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = CHISQ_REPS,
-                       seed: Optional[int] = None, *,
-                       tail_mass: float = 0.0,
-                       chunk: int = 8192) -> NullCalibration:
+                       seed: Optional[int] = None) -> NullCalibration:
     """Empirical (1-alpha) quantile of W = sum_k lambda_k Z_k^2 over MC draws.
 
-    The simulation is truncated at the given spectrum; ``tail_mass`` reports
-    the bias bound sum_{k>K} lambda_k when the caller knows it.
+    The simulation is truncated at the given spectrum.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
@@ -86,14 +85,14 @@ def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = CHISQ_REPS,
     draws = np.empty(reps)
     done = 0
     while done < reps:
-        m = min(chunk, reps - done)
+        m = min(_CHISQ_CHUNK, reps - done)
         z = rng.standard_normal((m, lam.size))
         draws[done:done + m] = (z * z) @ lam
         done += m
     return NullCalibration(
         method="chisq-mixture-mc", alpha=alpha,
         quantile=_order_stat_quantile(draws, alpha),
-        reps=reps, seed=seed, replicates=draws, truncation_bias=tail_mass)
+        reps=reps, seed=seed, replicates=draws)
 
 
 def empirical_null_quantile(statistic: Callable, null_sampler: Callable,

@@ -113,12 +113,6 @@ def build_parser() -> _Parser:
 # helpers
 
 
-def _require_seed(seed, what: str) -> int:
-    if seed is None:
-        raise CliError("--seed is required for %s" % what)
-    return seed
-
-
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -140,18 +134,11 @@ def _build_spectrum(args):
     null = args.null
     if null.startswith("uniform-sphere-"):
         d = int(null[len("uniform-sphere-"):])
-        name, _, arg = args.kernel.partition(":")
-        if name == "gaussian-sphere":
-            profile = kernels.gaussian_sphere_profile(float(arg))
-        elif name == "constant":
-            profile = lambda t: np.ones_like(np.asarray(t, float))
-        else:
-            raise CliError("sphere nulls need a zonal kernel "
-                           "(gaussian-sphere:S2 or constant), got %r" % args.kernel)
+        profile = kernels.zonal_profile(args.kernel)
         basis = sphere_zonal_spectrum(profile, d, args.trunc,
                                       quad_points=args.nodes,
                                       include_degree_zero=not args.center
-                                      and name == "constant")
+                                      and args.kernel.startswith("constant"))
         basis.meta["kernel_id"] = args.kernel
         return basis
     if null == "uniform-cube-1":
@@ -176,10 +163,7 @@ def _basis_from_config(cfg: dict):
     if kind == "spectrum":
         return load_spectrum(cfg["path"])
     if kind == "sphere":
-        name, _, arg = cfg["profile"].partition(":")
-        if name != "gaussian-sphere":
-            raise CliError("unsupported sphere profile %r" % cfg["profile"])
-        profile = kernels.gaussian_sphere_profile(float(arg))
+        profile = kernels.zonal_profile(cfg["profile"])
         return sphere_zonal_spectrum(profile, int(cfg["d"]),
                                      int(cfg.get("degree_max", 10)))
     raise CliError("unknown basis type %r in plan" % kind)
@@ -192,7 +176,6 @@ def _calibration_to_dict(c: cal.NullCalibration) -> dict:
         "quantile": c.quantile,
         "reps": c.reps,
         "seed": c.seed,
-        "truncation_bias": c.truncation_bias,
         "replicates": None if c.replicates is None else c.replicates.tolist(),
     }
 
@@ -204,8 +187,7 @@ def _calibration_from_file(path) -> cal.NullCalibration:
     return cal.NullCalibration(
         method=d["method"], alpha=d["alpha"], quantile=d["quantile"],
         reps=d["reps"], seed=d["seed"],
-        replicates=None if reps is None else np.asarray(reps, float),
-        truncation_bias=d.get("truncation_bias", 0.0))
+        replicates=None if reps is None else np.asarray(reps, float))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +225,9 @@ def _cmd_test(args) -> int:
     elif args.calibrate is not None:
         mode, _, arg = args.calibrate.partition(":")
         if mode == "mc":
+            if args.kind == "m3d":
+                raise CliError("m3d is calibrated by the normal quantile; "
+                               "--calibrate mc applies to mmd and adaptive")
             calibrate_reps = int(arg) if arg else None
         elif mode == "theory":
             threshold = "theory"
@@ -316,7 +301,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = _require_seed(args.seed, "the reproduction run")
+    seed = args.seed
+    if seed is None:
+        raise CliError("--seed is required for the reproduction run")
     d = 5 if args.scale == "desk" else 100
     out_dir = args.out or ("reproduce-%s" % args.target)
     basis = tensor_product_basis(cosine_basis(32), d, 256)

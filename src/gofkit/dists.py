@@ -542,27 +542,25 @@ def interpolation_radius(a: Sequence[float], eigenvalues: Sequence[float],
 
 
 def least_favorable(basis: SpectralBasis, n: int, s: float, theta: float,
-                    delta: float, seed=None, *, c8: float = 1.0,
-                    c10: float = 1.0, c2: float = 1.0,
+                    delta: float, seed=None, *,
                     mode: str = "multi") -> AlternativeSpec:
     """Spectral alternative at exact chi-square separation delta.
 
     ``multi`` spreads sqrt(delta / K_n) with random signs over the first K_n
-    frequencies, K_n = floor(C delta^{-(theta+1)/(2s)}); ``single`` puts all
-    mass on the single frequency floor(c2 n^{1/(4s)}).
+    frequencies, K_n = floor(delta^{-(theta+1)/(2s)}); ``single`` puts all
+    mass on the single frequency floor(n^{1/(4s)}).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     dim = parse_null_id(basis.null_id)[1]
     if mode == "single":
-        k_n = int(c2 * n ** (1.0 / (4.0 * s)))
+        k_n = int(n ** (1.0 / (4.0 * s)))
         if k_n < 1 or k_n > basis.truncation:
             raise ValueError("single frequency outside the basis truncation")
         coeffs = np.zeros(k_n)
         coeffs[k_n - 1] = math.sqrt(delta)
     elif mode == "multi":
-        c = c8 if theta == 0 else c10
-        k_n = int(c * delta ** (-(theta + 1.0) / (2.0 * s)))
+        k_n = int(delta ** (-(theta + 1.0) / (2.0 * s)))
         k_n = max(k_n, 1)
         if k_n > basis.truncation:
             raise ValueError("K_n exceeds the basis truncation")

@@ -128,14 +128,18 @@ class AdaptiveStat(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# statistics
+# statistics: each public function summarises its sample and applies the one
+# summary formula below
 
 
 def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:
     """Empirical squared MMD, sum_k lambda_k (mean_i phi_k(X_i))^2."""
+    return _mmd_from_summary(basis, basis.summary(sample.points))
+
+
+def _mmd_from_summary(basis: SpectralBasis, s: SampleSummary) -> float:
     if not basis.degenerate:
         raise ValueError("MMD requires a degenerate (centered) basis")
-    s = basis.summary(sample.points)
     return float(np.sum(s.group_eigenvalues * s.mean_sq))
 
 
@@ -170,14 +174,14 @@ def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
 
 def studentized_stat(ms: ModeratedSpectrum, sample: Sample) -> float:
     """(2 v)^{-1/2} (n eta^2 - diag term); asymptotically N(0,1) under the null."""
-    return _studentized_from_summary(ms, ms.basis.summary(sample.points), sample.n)
+    return _studentized_from_summary(ms, ms.basis.summary(sample.points))
 
 
-def _studentized_from_summary(ms: ModeratedSpectrum, s: SampleSummary, n: int) -> float:
+def _studentized_from_summary(ms: ModeratedSpectrum, s: SampleSummary) -> float:
     v = effective_variance(ms)
     if v <= 0:
         raise ValueError("effective variance must be positive")
-    num = n * _eta_from_summary(s, ms.rho) - _diag_from_summary(s, ms.rho)
+    num = s.n * _eta_from_summary(s, ms.rho) - _diag_from_summary(s, ms.rho)
     return num / math.sqrt(2.0 * v)
 
 
@@ -220,13 +224,17 @@ def theory_threshold(n: int) -> float:
 
 def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> AdaptiveStat:
     """Maximum of the studentized statistic over the moderation grid."""
+    return _adaptive_from_summary(basis, grid, basis.summary(sample.points))
+
+
+def _adaptive_from_summary(basis: SpectralBasis, grid: RhoGrid,
+                           s: SampleSummary) -> AdaptiveStat:
     if grid.values.size == 0:
         raise ValueError("grid must be nonempty")
-    s = basis.summary(sample.points)
     best = -math.inf
     best_rho = grid.values[0]
     for rho in grid.values:
-        t = _studentized_from_summary(ModeratedSpectrum(basis, float(rho)), s, sample.n)
+        t = _studentized_from_summary(ModeratedSpectrum(basis, float(rho)), s)
         if t > best:
             best = t
             best_rho = float(rho)
@@ -239,16 +247,16 @@ def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> Adapti
 # reaches every caller.
 
 
-def statistic(kind: str, basis: SpectralBasis, sample: Sample, *,
+def statistic(kind: str, basis: SpectralBasis, summary: SampleSummary, *,
               rho: Optional[float] = None, grid: Optional[RhoGrid] = None) -> float:
     """n MMD^2 (mmd), the studentized moderated MMD at ``rho`` (m3d) or its
-    maximum over ``grid`` (adaptive)."""
+    maximum over ``grid`` (adaptive), all read from one ``basis.summary``."""
     if kind == "mmd":
-        return sample.n * mmd_vstat(basis, sample)
+        return summary.n * _mmd_from_summary(basis, summary)
     if kind == "m3d":
-        return studentized_stat(ModeratedSpectrum(basis, rho), sample)
+        return _studentized_from_summary(ModeratedSpectrum(basis, rho), summary)
     if kind == "adaptive":
-        return adaptive_stat(basis, grid, sample).value
+        return _adaptive_from_summary(basis, grid, summary).value
     raise ValueError("unknown test kind: %r" % kind)
 
 
@@ -278,10 +286,9 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
             reps=cal.CHISQ_REPS if reps is None else reps, seed=seed)
     if grid is None:
         grid = adaptive_grid(n, basis.decay_exponent)
-    sampler = dists.null_sampler(basis.null_id)
     return cal.empirical_null_quantile(
-        lambda smp: adaptive_stat(basis, grid, smp).value,
-        lambda size, rng: Sample(sampler(size, rng)),
+        lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
+        dists.null_sampler(basis.null_id),
         n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
 
 
@@ -303,10 +310,12 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     adaptive takes ``grid`` or uses :func:`adaptive_grid`.  ``calibration``
     may be a precomputed NullCalibration; otherwise :func:`null_calibration`
     builds one from ``calibrate_reps`` and ``seed`` (``threshold='theory'``
-    selects the adaptive test's theory threshold).
+    selects the adaptive test's theory threshold, ``'mc'`` the default).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if threshold not in ("mc", "theory"):
+        raise ValueError("threshold must be 'mc' or 'theory', got %r" % threshold)
     n = sample.n
     params: dict = {"K": basis.truncation, "alpha": alpha}
     if kind == "m3d":
@@ -315,15 +324,14 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
                 raise ValueError("m3d requires rho (or theta for the schedule)")
             rho = rho_schedule(n, basis.decay_exponent, theta)
         params["rho"] = rho
+    summary = basis.summary(sample.points)
     if kind == "adaptive":
         if grid is None:
             grid = adaptive_grid(n, basis.decay_exponent)
-        res = adaptive_stat(basis, grid, sample)
-        stat = res.value
         params.update(rho_star=grid.rho_star, m_star=grid.m_star,
-                      argmax_rho=res.argmax_rho, theory_threshold=theory_threshold(n))
-    else:
-        stat = statistic(kind, basis, sample, rho=rho)
+                      argmax_rho=_adaptive_from_summary(basis, grid, summary).argmax_rho,
+                      theory_threshold=theory_threshold(n))
+    stat = statistic(kind, basis, summary, rho=rho, grid=grid)
     if calibration is None:
         calibration = null_calibration(kind, basis, n, alpha, reps=calibrate_reps,
                                        seed=seed, grid=grid,

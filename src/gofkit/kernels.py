@@ -2,7 +2,8 @@
 
 A kernel id is either a bare name ("cosine-ref", "linear", "constant") or a
 name with parameters separated by colons ("gaussian:0.1").  All kernels are
-vectorized: ``kernel(X, Y)`` returns the (len(X), len(Y)) matrix.
+vectorized: ``kernel(X, Y)`` returns the (len(X), len(Y)) matrix, where a
+1-D input is a column of 1-D points.
 """
 from __future__ import annotations
 
@@ -11,16 +12,24 @@ import math
 import numpy as np
 
 
+def as_points(X) -> np.ndarray:
+    """X as float rows; a scalar is one point, a 1-D array a column of points."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0:
+        X = X.reshape(1, 1)
+    elif X.ndim == 1:
+        X = X[:, None]
+    return X
+
+
 def cosine_reference_kernel(n_terms: int = 200):
     """K(x,y) = sum_{k<=n_terms} 2 cos(k pi x) cos(k pi y) / (k pi)^2 on [0,1]."""
     k = np.arange(1, n_terms + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
 
     def kernel(X, Y):
-        X = np.atleast_2d(np.asarray(X, float))
-        Y = np.atleast_2d(np.asarray(Y, float))
-        fx = math.sqrt(2.0) * np.cos(np.outer(X[:, 0], k) * math.pi)
-        fy = math.sqrt(2.0) * np.cos(np.outer(Y[:, 0], k) * math.pi)
+        fx = math.sqrt(2.0) * np.cos(np.outer(as_points(X)[:, 0], k) * math.pi)
+        fy = math.sqrt(2.0) * np.cos(np.outer(as_points(Y)[:, 0], k) * math.pi)
         return (fx * lam) @ fy.T
 
     return kernel
@@ -32,8 +41,7 @@ def gaussian_kernel(bandwidth: float):
         raise ValueError("bandwidth must be positive")
 
     def kernel(X, Y):
-        X = np.atleast_2d(np.asarray(X, float))
-        Y = np.atleast_2d(np.asarray(Y, float))
+        X, Y = as_points(X), as_points(Y)
         sq = (
             np.sum(X * X, axis=1)[:, None]
             - 2.0 * X @ Y.T
@@ -45,15 +53,11 @@ def gaussian_kernel(bandwidth: float):
 
 
 def linear_kernel(X, Y):
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    return X @ Y.T
+    return as_points(X) @ as_points(Y).T
 
 
 def constant_kernel(X, Y):
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    return np.ones((X.shape[0], Y.shape[0]))
+    return np.ones((as_points(X).shape[0], as_points(Y).shape[0]))
 
 
 def gaussian_sphere_profile(sigma2: float):
@@ -65,6 +69,18 @@ def gaussian_sphere_profile(sigma2: float):
         return np.exp(-2.0 * (1.0 - np.asarray(t, float)) / sigma2)
 
     return profile
+
+
+def zonal_profile(kernel_id: str):
+    """Look up the profile g(t) of a zonal kernel k(x, y) = g(<x, y>) on a
+    sphere: "gaussian-sphere:S2" or "constant"; ValueError for other ids."""
+    name, _, arg = kernel_id.partition(":")
+    if name == "gaussian-sphere":
+        return gaussian_sphere_profile(float(arg))
+    if name == "constant":
+        return lambda t: np.ones_like(np.asarray(t, float))
+    raise ValueError("sphere nulls need a zonal kernel "
+                     "(gaussian-sphere:S2 or constant), got %r" % kernel_id)
 
 
 def resolve_kernel(kernel_id: str):

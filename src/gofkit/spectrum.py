@@ -16,6 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate, special
 
+from .kernels import as_points
+
 
 class DecompositionError(RuntimeError):
     """Raised when a numerical eigendecomposition cannot be trusted."""
@@ -113,15 +115,11 @@ class SpectralBasis:
     def truncation(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def has_features(self) -> bool:
-        return self._feature_fn is not None
-
     def _points(self, X) -> np.ndarray:
         """X as an (n, d) array.  For a uniform cube or sphere null, ValueError
         unless X has d finite columns and its rows lie on the null's support
         within ``_SUPPORT_TOL``."""
-        X = _as_points(X)
+        X = as_points(X)
         if not self.null_id.startswith(("uniform-cube-", "uniform-sphere-")):
             return X
         family, d = parse_null_id(self.null_id)
@@ -170,12 +168,14 @@ class SpectralBasis:
             group_eigenvalues=self.eigenvalues,
             mean_sq=m * m,
             diag_mean=(fx * fx).mean(axis=0),
+            n=fx.shape[0],
         )
 
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Sufficient statistics for all spectral test statistics of one sample.
+    """Sufficient statistics for all spectral test statistics of a sample of
+    ``n`` points: every statistic is a function of a summary (and rho).
 
     Eigenvalues with a shared value may be grouped; ``mean_sq`` and
     ``diag_mean`` then hold within-group sums.
@@ -184,6 +184,11 @@ class SampleSummary:
     group_eigenvalues: np.ndarray
     mean_sq: np.ndarray
     diag_mean: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("sample must contain at least one point")
 
 
 class NystromBasis(SpectralBasis):
@@ -280,6 +285,7 @@ class SphereZonalBasis(SpectralBasis):
             group_eigenvalues=self.degree_eigenvalues,
             mean_sq=self.multiplicities * sums[self.degrees] / (n * n),
             diag_mean=self.multiplicities.astype(float),
+            n=n,
         )
 
 
@@ -346,15 +352,6 @@ def parse_null_id(null_id: str) -> tuple[str, int]:
     return family, int(d)
 
 
-def _as_points(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 0:
-        X = X.reshape(1, 1)
-    elif X.ndim == 1:
-        X = X[:, None]
-    return X
-
-
 def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
                       kernel_id: str = "") -> NystromBasis:
     """Top-K eigenpairs of the weighted Gram matrix sqrt(w_i w_j) K(x_i, x_j).
@@ -410,10 +407,10 @@ def center_kernel(kernel, quad: Quadrature):
     grand = float(w @ np.asarray(kernel(nodes, nodes), dtype=float) @ w)
 
     def row_mean(X):
-        return np.asarray(kernel(_as_points(X), nodes), dtype=float) @ w
+        return np.asarray(kernel(as_points(X), nodes), dtype=float) @ w
 
     def centered(X, Y):
-        base = np.asarray(kernel(_as_points(X), _as_points(Y)), dtype=float)
+        base = np.asarray(kernel(as_points(X), as_points(Y)), dtype=float)
         return base - row_mean(X)[:, None] - row_mean(Y)[None, :] + grand
 
     return centered
@@ -488,20 +485,18 @@ def estimate_decay_exponent(eigenvalues: Sequence[float]) -> float:
     return float(s)
 
 
-def tensor_product_basis(factor: SpectralBasis, d: int, K: int, *,
-                         const_eigenvalue: float = 1.0,
-                         budget: int = 200_000) -> SpectralBasis:
+def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis:
     """Top-K products over the d-fold mode lattice of a 1-D factor basis.
 
-    Mode 0 in each coordinate is the constant eigenfunction (eigenvalue
-    ``const_eigenvalue``); the all-constant multi-index is excluded.  Requires
-    a degenerate factor so that the products remain orthonormal.
+    Mode 0 in each coordinate is the constant eigenfunction (eigenvalue 1);
+    the all-constant multi-index is excluded.  Requires a degenerate factor
+    so that the products remain orthonormal.
     """
     if d < 1 or K < 1:
         raise ValueError("d and K must be positive")
     if not factor.degenerate:
         raise ValueError("factor basis must be degenerate (centered)")
-    values = np.concatenate(([const_eigenvalue], factor.eigenvalues))
+    values = np.concatenate(([1.0], factor.eigenvalues))
     if np.any(np.diff(values) > 1e-12 * values[0]):
         raise ValueError("constant-mode eigenvalue must dominate the factor")
     if d == 1:
@@ -513,11 +508,7 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int, *,
         heap = [(-values[0] ** d, root)]
         seen = {root}
         picked = []
-        pops = 0
         while heap and len(picked) < K + 1:
-            pops += 1
-            if pops > budget:
-                raise ValueError("K exceeds enumerable frontier budget")
             negv, mi = heapq.heappop(heap)
             picked.append(mi)
             for j in range(d):
@@ -538,7 +529,7 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int, *,
     lam = lam[order]
 
     def feature_fn(X):
-        X = _as_points(X)
+        X = as_points(X)
         if X.shape[1] != d:
             raise ValueError("points have wrong dimension")
         cols = [factor.features(X[:, j]) for j in range(d)]
@@ -588,14 +579,14 @@ def sphere_surface_area(d: int) -> float:
 
 def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
                           quad_points: Optional[int] = None,
-                          include_degree_zero: bool = False,
-                          convergence_tol: float = 1e-10) -> SphereZonalBasis:
+                          include_degree_zero: bool = False) -> SphereZonalBasis:
     """Funk-Hecke eigenvalues of a zonal kernel g(<x, y>) on S^{d-1}.
 
     Degree-k eigenvalues come from Gauss-Jacobi quadrature of g against
     normalized Gegenbauer polynomials under weight (1-t^2)^{(d-3)/2}; the
     degree-0 (constant) block is dropped unless requested, which makes the
-    basis degenerate under the uniform null.
+    basis degenerate under the uniform null.  The eigenvalues must agree
+    with those of a rule twice as fine to 1e-10 of the largest.
     """
     if d < 3:
         raise ValueError("ambient dimension must be at least 3")
@@ -605,7 +596,7 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
     coarse = _funk_hecke(profile, d, degree_max, q)
     fine = _funk_hecke(profile, d, degree_max, 2 * q)
     scale = max(np.abs(fine).max(), 1e-300)
-    if np.abs(fine - coarse).max() > convergence_tol * scale:
+    if np.abs(fine - coarse).max() > 1e-10 * scale:
         raise DecompositionError("quadrature non-convergence for the zonal profile")
     lam = fine
     degrees = np.arange(degree_max + 1)
@@ -649,7 +640,7 @@ def cosine_basis(K: int, *, with_tail: bool = True) -> SpectralBasis:
     lam = 1.0 / (k * math.pi) ** 2
 
     def feature_fn(X):
-        x = _as_points(X)[:, 0]
+        x = as_points(X)[:, 0]
         return math.sqrt(2.0) * np.cos(np.outer(x, k) * math.pi)
 
     return SpectralBasis(

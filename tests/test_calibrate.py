@@ -70,11 +70,6 @@ def test_chisq_input_validation():
         chisq_mix_quantile([1.0], 1.5, reps=1000, seed=0)
 
 
-def test_chisq_reports_tail_mass():
-    c = chisq_mix_quantile([1.0, 0.5], 0.05, reps=1000, seed=0, tail_mass=0.01)
-    assert c.truncation_bias == pytest.approx(0.01)
-
-
 # ---------------------------------------------------------------------------
 # empirical null quantiles
 

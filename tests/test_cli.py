@@ -227,7 +227,8 @@ def test_cube_inputs_outside_the_method_exit_1(centered_file, tmp_path, capsys,
     np.savetxt(data, rows, delimiter=",")
     assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
                      "--data", str(data), "--theta", "0", "--seed", "1",
-                     "--calibrate", "theory" if kind == "adaptive" else "mc"]) == 1
+                     "--calibrate", {"mmd": "mc", "m3d": "normal",
+                                     "adaptive": "theory"}[kind]]) == 1
     captured = capsys.readouterr()
     assert match in captured.err and captured.out == ""
 
@@ -254,3 +255,42 @@ def test_cache_key_is_built_from_the_spec_format():
     # keys written by earlier releases stay valid
     assert (cli._cache_key("cosine-ref", "uniform-cube-1", 16, 128, False)
             == "14130262cff635e0fa69e370.spec")
+
+
+@pytest.mark.parametrize("mode", ["mc", "mc:500"])
+def test_m3d_rejects_monte_carlo_calibration(centered_file, data_file, capsys, mode):
+    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--theta", "1", "--seed", "1",
+                     "--calibrate", mode]) == 1
+    captured = capsys.readouterr()
+    assert "normal quantile" in captured.err and captured.out == ""
+
+
+def test_calibration_file_has_no_truncation_bias(centered_file, data_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "mmd.cal"
+    assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(centered_file),
+                     "--n", "200", "--reps", "500", "--seed", "3", "--out", str(out),
+                     "--quiet"]) == 0
+    record = json.loads(out.read_text())
+    assert "truncation_bias" not in record
+    # files written by earlier releases carry the key and still load
+    record["truncation_bias"] = 0.0
+    out.write_text(json.dumps(record))
+    assert cli.main(["test", "--kind", "mmd", "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--calibration", str(out), "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == record["quantile"]
+
+
+def test_both_sphere_kernel_readers_share_one_parser(tmp_path, cache_dir, capsys):
+    assert cli.main(["decompose", "--kernel", "linear", "--null", "uniform-sphere-3",
+                     "--trunc", "4", "--nodes", "64", "--out", str(tmp_path / "s.spec")]) == 1
+    decompose_err = capsys.readouterr().err
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "basis": {"type": "sphere", "profile": "linear", "d": 3},
+        "alternatives": {"null": {"family": "uniform-sphere", "dim": 3}},
+        "tests": ["m3d"], "n": [50], "reps": 2, "seed": 1}))
+    assert cli.main(["power", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == decompose_err
+    assert "gaussian-sphere:S2 or constant" in decompose_err

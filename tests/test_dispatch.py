@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gofkit import bench, dists
 from gofkit import calibrate as cal
 from gofkit import cli
 from gofkit.bench import ExperimentPlan, boundary_probe, run_plan
@@ -13,6 +14,7 @@ from gofkit.embedding import (
     adaptive_grid,
     adaptive_stat,
     null_calibration,
+    rho_schedule,
     run_test,
     statistic,
 )
@@ -117,7 +119,7 @@ def test_statistic_and_calibration_reject_bad_requests():
     basis = cosine_basis(16)
     sample = Sample(np.full(20, 0.5))
     with pytest.raises(ValueError, match="kind"):
-        statistic("ks", basis, sample)
+        statistic("ks", basis, basis.summary(sample.points))
     with pytest.raises(ValueError, match="kind"):
         null_calibration("ks", basis, 20, ALPHA, seed=1)
     for kind in ("mmd", "m3d"):
@@ -125,3 +127,67 @@ def test_statistic_and_calibration_reject_bad_requests():
             null_calibration(kind, basis, 20, ALPHA, seed=1, theory=True)
     with pytest.raises(ValueError, match="seed"):
         null_calibration("adaptive", basis, 20, ALPHA)
+
+    for typo in ("thoery", "normal", "MC"):
+        with pytest.raises(ValueError, match="threshold"):
+            run_test("adaptive", basis, sample, ALPHA, seed=1, threshold=typo)
+
+
+# ---------------------------------------------------------------------------
+# paired replicates: one draw and one summary per (n, alternative, rep)
+
+ALTS = {"null": AlternativeSpec("uniform-cube", 1, {}),
+        "claw": AlternativeSpec("marron-wand:asymmetric-claw", 1, {})}
+N_LIST = [20, 30]
+
+
+def _paired_plan(tests, **kw):
+    return ExperimentPlan(basis=cosine_basis(16), alternatives=ALTS, tests=tests,
+                          n_list=N_LIST, reps=3, seed=MASTER, mmd_calibration_reps=500,
+                          adaptive_calibration_reps=100, **kw)
+
+
+def test_run_plan_draws_and_summarises_each_replicate_once(monkeypatch):
+    plan = _paired_plan(["mmd", "m3d", "adaptive"])
+    fixed = cal.normal_calibration(ALPHA)
+    monkeypatch.setattr(bench, "null_calibration", lambda *a, **kw: fixed)
+    calls = {"summary": 0, "sample": 0}
+    summary, sample = plan.basis.summary, dists.sample
+
+    def count(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(plan.basis, "summary", count("summary", summary))
+    monkeypatch.setattr(dists, "sample", count("sample", sample))
+    table = run_plan(plan)
+    draws = len(N_LIST) * len(ALTS) * plan.reps
+    assert calls == {"summary": draws, "sample": draws}
+    assert len(table.rows) == 3 * draws
+
+
+def test_run_plan_rows_read_the_replicate_summary():
+    plan = _paired_plan(["mmd", "m3d", "adaptive"])
+    table = run_plan(plan)
+    basis, s = plan.basis, plan.basis.decay_exponent
+    want_order = [(kind, n, alt, rep) for kind in plan.tests for n in N_LIST
+                  for alt in sorted(ALTS) for rep in range(plan.reps)]
+    assert [(r.test, r.n, r.alternative, r.replicate) for r in table.rows] == want_order
+    for r in table.rows:
+        key = (2, 0, N_LIST.index(r.n), sorted(ALTS).index(r.alternative), r.replicate)
+        ss = np.random.SeedSequence(MASTER, spawn_key=key)
+        assert r.seed == int(ss.generate_state(1)[0])
+        summary = basis.summary(dists.sample(ALTS[r.alternative], r.n, seed=ss))
+        want = statistic(r.test, basis, summary, rho=rho_schedule(r.n, s, 0.0),
+                         grid=adaptive_grid(r.n, s))
+        assert r.statistic == want
+
+
+@pytest.mark.parametrize("tests", [["mmd", "m3d", "adaptive"], ["adaptive", "mmd", "m3d"],
+                                   ["m3d", "adaptive", "mmd"]])
+def test_first_test_rows_equal_a_single_test_plan(tests):
+    paired = run_plan(_paired_plan(tests)).rows
+    single = run_plan(_paired_plan(tests[:1])).rows
+    assert paired[:len(single)] == single

@@ -40,8 +40,10 @@ from gofkit.spectrum import (
 from gofkit.kernels import (
     constant_kernel,
     cosine_reference_kernel,
+    gaussian_kernel,
     gaussian_sphere_profile,
     linear_kernel,
+    zonal_profile,
 )
 
 
@@ -613,3 +615,27 @@ def test_cache_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"not a spectrum file")
     with pytest.raises(ValueError, match="GOFKIT-SPEC"):
         load_spectrum(path)
+
+
+# ---------------------------------------------------------------------------
+# named kernels
+
+
+@pytest.mark.parametrize("kernel", [cosine_reference_kernel(), gaussian_kernel(0.5),
+                                    linear_kernel, constant_kernel])
+def test_kernels_read_1d_input_as_a_column_of_points(kernel):
+    x, y = np.array([0.1, 0.2]), np.array([0.3, 0.5, 0.9])
+    got = kernel(x, y)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, kernel(x[:, None], y[:, None]))
+    assert kernel(0.1, y).shape == (1, 3)
+
+
+def test_zonal_profile_ids():
+    t = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(zonal_profile("gaussian-sphere:0.5")(t),
+                          gaussian_sphere_profile(0.5)(t))
+    assert np.array_equal(zonal_profile("constant")(t), np.ones(7))
+    for bad in ("gaussian:0.5", "linear", "cosine-ref"):
+        with pytest.raises(ValueError, match="zonal kernel"):
+            zonal_profile(bad)

@@ -174,7 +174,8 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
     """
     if kind not in ("mmd", "m3d"):
         raise ValueError("boundary probe supports 'mmd' and 'm3d'")
-    thr = null_calibration(kind, basis, None, alpha, reps=mmd_calibration_reps,
+    thr = null_calibration(kind, basis, None, alpha,
+                           reps=mmd_calibration_reps if kind == "mmd" else None,
                            seed=_calibration_seed(seed, kind)[1]).quantile
     rows = []
     for n_idx, n in enumerate(n_list):

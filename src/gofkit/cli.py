@@ -19,6 +19,7 @@ from .spectrum import (
     gauss_legendre_01,
     load_spectrum,
     nystrom_decompose,
+    parse_null_id,
     save_spectrum,
     sphere_zonal_spectrum,
     tensor_product_basis,
@@ -132,8 +133,8 @@ def _cache_key(kernel, null, trunc, nodes, center) -> str:
 
 def _build_spectrum(args):
     null = args.null
-    if null.startswith("uniform-sphere-"):
-        d = int(null[len("uniform-sphere-"):])
+    family, d = parse_null_id(null)
+    if family == "uniform-sphere":
         profile = kernels.zonal_profile(args.kernel)
         basis = sphere_zonal_spectrum(profile, d, args.trunc,
                                       quad_points=args.nodes,
@@ -141,7 +142,7 @@ def _build_spectrum(args):
                                       and args.kernel.startswith("constant"))
         basis.meta["kernel_id"] = args.kernel
         return basis
-    if null == "uniform-cube-1":
+    if d == 1:
         kernel = kernels.resolve_kernel(args.kernel)
         quad = gauss_legendre_01(args.nodes)
         if args.center:

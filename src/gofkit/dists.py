@@ -312,8 +312,7 @@ def sample_watson(mu: np.ndarray, kappa: float, n: int,
         t2 = 1.0 - (d - 3) / (2.0 * kappa)
         log_env = kappa * t2 + expo * math.log((d - 3) / (2.0 * kappa))
     elif expo > 0:
-        log_env = expo * math.log(1.0)  # maximum at t = 0 when kappa small
-        log_env = max(log_env, 0.0)
+        log_env = 0.0  # maximum at t = 0 when kappa small
     else:
         log_env = kappa  # expo == 0 (d == 3): max at t = +-1
     out = np.empty(n)
@@ -486,7 +485,7 @@ def _chi2_gaussian_mixture(p, d):
 def chi_square_divergence_quadrature(spec: AlternativeSpec, basis: SpectralBasis,
                                      nodes: int = _GL_NODES) -> float:
     """1-D quadrature cross-check of the spectral-family Parseval identity."""
-    if spec.family != "spectral" or not basis.null_id.startswith("uniform-cube-1"):
+    if spec.family != "spectral" or parse_null_id(basis.null_id) != ("uniform-cube", 1):
         raise ValueError("quadrature cross-check supports 1-D spectral specs only")
     y, w = np.polynomial.legendre.leggauss(nodes)
     y = ((y + 1.0) / 2.0)[:, None]

@@ -13,8 +13,8 @@ from .spectrum import (
     ModeratedSpectrum,
     SampleSummary,
     SpectralBasis,
-    effective_variance,
     moderate,
+    moderated_variance,
 )
 
 GRAM_SIZE_LIMIT = 4096
@@ -54,7 +54,7 @@ class RhoGrid:
 
     rho_star: float
     m_star: int
-    values: np.ndarray = field(default=None)
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.rho_star <= 0:
@@ -128,8 +128,8 @@ class AdaptiveStat(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# statistics: each public function summarises its sample and applies the one
-# summary formula below
+# statistics: each public function summarises its sample and applies a
+# summary formula below; m3d and adaptive share one, vectorised over rho
 
 
 def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:
@@ -145,15 +145,8 @@ def _mmd_from_summary(basis: SpectralBasis, s: SampleSummary) -> float:
 
 def eta_sq(ms: ModeratedSpectrum, sample: Sample) -> float:
     """Empirical squared moderated MMD."""
-    return _eta_from_summary(ms.basis.summary(sample.points), ms.rho)
-
-
-def _eta_from_summary(s: SampleSummary, rho: float) -> float:
-    return float(np.sum(moderate(s.group_eigenvalues, rho) * s.mean_sq))
-
-
-def _diag_from_summary(s: SampleSummary, rho: float) -> float:
-    return float(np.sum(moderate(s.group_eigenvalues, rho) * s.diag_mean))
+    s = ms.basis.summary(sample.points)
+    return float(np.sum(moderate(s.group_eigenvalues, ms.rho) * s.mean_sq))
 
 
 def eta_sq_gram(ms: ModeratedSpectrum, sample: Sample,
@@ -174,15 +167,22 @@ def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
 
 def studentized_stat(ms: ModeratedSpectrum, sample: Sample) -> float:
     """(2 v)^{-1/2} (n eta^2 - diag term); asymptotically N(0,1) under the null."""
-    return _studentized_from_summary(ms, ms.basis.summary(sample.points))
+    return float(_studentized(ms.basis, ms.basis.summary(sample.points), [ms.rho])[0])
 
 
-def _studentized_from_summary(ms: ModeratedSpectrum, s: SampleSummary) -> float:
-    v = effective_variance(ms)
-    if v <= 0:
+def _studentized(basis: SpectralBasis, s: SampleSummary, rhos) -> np.ndarray:
+    """The studentized statistic at every rho of ``rhos``, in one pass: row r
+    of each (rho, eigenvalue) array below belongs to ``rhos[r]``.  v(rho)
+    runs over every eigenvalue of the basis, not over the summary's groups."""
+    rhos = np.asarray(rhos, dtype=float)
+    if np.any(rhos < 0):
+        raise ValueError("rho must be nonnegative")
+    v = moderated_variance(basis.eigenvalues, rhos)
+    if np.any(v <= 0):
         raise ValueError("effective variance must be positive")
-    num = s.n * _eta_from_summary(s, ms.rho) - _diag_from_summary(s, ms.rho)
-    return num / math.sqrt(2.0 * v)
+    w = moderate(s.group_eigenvalues, rhos[:, None])
+    num = s.n * (w * s.mean_sq).sum(axis=1) - (w * s.diag_mean).sum(axis=1)
+    return num / np.sqrt(2.0 * v)
 
 
 def _check_decay(s: float) -> None:
@@ -224,21 +224,14 @@ def theory_threshold(n: int) -> float:
 
 def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> AdaptiveStat:
     """Maximum of the studentized statistic over the moderation grid."""
-    return _adaptive_from_summary(basis, grid, basis.summary(sample.points))
+    return _adaptive(basis, grid, basis.summary(sample.points))
 
 
-def _adaptive_from_summary(basis: SpectralBasis, grid: RhoGrid,
-                           s: SampleSummary) -> AdaptiveStat:
-    if grid.values.size == 0:
-        raise ValueError("grid must be nonempty")
-    best = -math.inf
-    best_rho = grid.values[0]
-    for rho in grid.values:
-        t = _studentized_from_summary(ModeratedSpectrum(basis, float(rho)), s)
-        if t > best:
-            best = t
-            best_rho = float(rho)
-    return AdaptiveStat(value=best, argmax_rho=best_rho)
+def _adaptive(basis: SpectralBasis, grid: RhoGrid, s: SampleSummary) -> AdaptiveStat:
+    # argmax takes the first maximiser, so a tie goes to the lowest rho
+    t = _studentized(basis, s, grid.values)
+    i = int(np.argmax(t))
+    return AdaptiveStat(value=float(t[i]), argmax_rho=float(grid.values[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +247,9 @@ def statistic(kind: str, basis: SpectralBasis, summary: SampleSummary, *,
     if kind == "mmd":
         return summary.n * _mmd_from_summary(basis, summary)
     if kind == "m3d":
-        return _studentized_from_summary(ModeratedSpectrum(basis, rho), summary)
+        return float(_studentized(basis, summary, [rho])[0])
     if kind == "adaptive":
-        return _adaptive_from_summary(basis, grid, summary).value
+        return _adaptive(basis, grid, summary).value
     raise ValueError("unknown test kind: %r" % kind)
 
 
@@ -277,6 +270,9 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
         return cal.NullCalibration(method="theory-loglog", alpha=alpha,
                                    quantile=theory_threshold(n), reps=None, seed=None)
     if kind == "m3d":
+        if reps is not None:
+            raise ValueError("m3d is calibrated by the normal quantile; a "
+                             "Monte-Carlo rep count applies to mmd and adaptive")
         return cal.normal_calibration(alpha)
     if seed is None:
         raise ValueError("Monte-Carlo calibration requires a seed (--seed)")
@@ -328,10 +324,12 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     if kind == "adaptive":
         if grid is None:
             grid = adaptive_grid(n, basis.decay_exponent)
+        best = _adaptive(basis, grid, summary)
+        stat = best.value
         params.update(rho_star=grid.rho_star, m_star=grid.m_star,
-                      argmax_rho=_adaptive_from_summary(basis, grid, summary).argmax_rho,
-                      theory_threshold=theory_threshold(n))
-    stat = statistic(kind, basis, summary, rho=rho, grid=grid)
+                      argmax_rho=best.argmax_rho, theory_threshold=theory_threshold(n))
+    else:
+        stat = statistic(kind, basis, summary, rho=rho)
     if calibration is None:
         calibration = null_calibration(kind, basis, n, alpha, reps=calibrate_reps,
                                        seed=seed, grid=grid,

@@ -109,7 +109,6 @@ class SpectralBasis:
         self.sup_norms = None if sup_norms is None else np.asarray(sup_norms, float)
         self.tail = tail
         self.meta = dict(meta or {})
-        self._variance_cache: dict = {}
 
     @property
     def truncation(self) -> int:
@@ -434,12 +433,7 @@ def effective_variance(ms: ModeratedSpectrum, include_tail: bool = False) -> flo
     the sum is extended past the truncation by a midpoint-rule integral of the
     model terms (amp k^{-2s} / (amp k^{-2s} + rho^2))^2 over k > K + 1/2.
     """
-    key = (float(ms.rho), bool(include_tail))
-    cached = ms.basis._variance_cache.get(key)
-    if cached is not None:
-        return cached
-    mod = ms.moderated_eigenvalues
-    v = float(np.sum(mod * mod))
+    v = float(moderated_variance(ms.basis.eigenvalues, [ms.rho])[0])
     if include_tail:
         tail = ms.basis.tail
         if tail is None:
@@ -452,8 +446,13 @@ def effective_variance(ms: ModeratedSpectrum, include_tail: bool = False) -> flo
                 return (lam / (lam + rho2)) ** 2
 
             v += integrate.quad(term, tail.start + 0.5, np.inf, limit=200)[0]
-    ms.basis._variance_cache[key] = v
     return v
+
+
+def moderated_variance(eigenvalues: np.ndarray, rhos) -> np.ndarray:
+    """v(rho) = sum_k (lambda_k / (lambda_k + rho^2))^2 at every rho of ``rhos``."""
+    mod = moderate(eigenvalues, np.asarray(rhos, dtype=float)[:, None])
+    return (mod * mod).sum(axis=1)
 
 
 def truncation_variance_bound(ms: ModeratedSpectrum) -> float:

@@ -80,6 +80,17 @@ def test_decompose_unknown_kernel_exits_1(tmp_path, cache_dir, capsys):
     assert "kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("null, message", [
+    ("uniform-sphere-x", "unknown null id"),
+    ("uniform-cube-3", "unsupported null id for decompose"),
+])
+def test_decompose_null_id_is_parsed_once(tmp_path, cache_dir, capsys, null, message):
+    assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null", null,
+                     "--trunc", "4", "--nodes", "64",
+                     "--out", str(tmp_path / "x.spec")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_decompose_rank_deficient_exits_2(tmp_path, cache_dir, capsys):
     assert cli.main(["decompose", "--kernel", "constant", "--null",
                      "uniform-cube-1", "--trunc", "4", "--nodes", "64",
@@ -153,6 +164,15 @@ def test_calibrate_requires_seed(spectrum_file, tmp_path, capsys):
                      str(spectrum_file), "--n", "200",
                      "--out", str(tmp_path / "a.cal")]) == 1
     assert "--seed" in capsys.readouterr().err
+
+
+def test_calibrate_m3d_refuses_reps(spectrum_file, tmp_path, capsys):
+    out = tmp_path / "m3d.cal"
+    assert cli.main(["calibrate", "--kind", "m3d", "--spectrum", str(spectrum_file),
+                     "--n", "200", "--reps", "500", "--seed", "3",
+                     "--out", str(out)]) == 1
+    assert "normal quantile" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_power_plan_and_alt_flag(spectrum_file, tmp_path, capsys):

@@ -127,6 +127,10 @@ def test_statistic_and_calibration_reject_bad_requests():
             null_calibration(kind, basis, 20, ALPHA, seed=1, theory=True)
     with pytest.raises(ValueError, match="seed"):
         null_calibration("adaptive", basis, 20, ALPHA)
+    with pytest.raises(ValueError, match="normal quantile"):
+        null_calibration("m3d", basis, 20, ALPHA, reps=500, seed=1)
+    with pytest.raises(ValueError, match="normal quantile"):
+        run_test("m3d", basis, sample, ALPHA, rho=0.1, calibrate_reps=500, seed=1)
 
     for typo in ("thoery", "normal", "MC"):
         with pytest.raises(ValueError, match="threshold"):

@@ -21,7 +21,7 @@ from gofkit.dists import (
     vmf_log_const,
     watson_const,
 )
-from gofkit.spectrum import cosine_basis, sphere_surface_area
+from gofkit.spectrum import cosine_basis, sphere_surface_area, tensor_product_basis
 
 
 def test_null_sampler_parsing():
@@ -210,6 +210,14 @@ def test_chi2_spectral_parseval():
     assert chi_square_divergence(two) == pytest.approx(0.25)
     assert chi_square_divergence_quadrature(two, basis) == \
         pytest.approx(0.25, abs=1e-6)
+
+
+def test_chi2_quadrature_refuses_a_ten_dimensional_spectral_spec():
+    # uniform-cube-10 starts with uniform-cube-1
+    basis = tensor_product_basis(cosine_basis(4), 10, 20)
+    spec = AlternativeSpec("spectral", 10, {"basis": basis, "coefficients": [0.1]})
+    with pytest.raises(ValueError, match="1-D spectral specs only"):
+        chi_square_divergence_quadrature(spec, basis)
 
 
 def test_chi2_null_is_zero():

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gofkit import embedding, kernels
+from gofkit.dists import null_sampler
 from gofkit.embedding import (
     GRAM_SIZE_LIMIT,
     RhoGrid,
@@ -17,10 +21,20 @@ from gofkit.embedding import (
     mmd_vstat,
     rho_schedule,
     run_test,
+    statistic,
     studentized_stat,
     theory_threshold,
 )
-from gofkit.spectrum import ModeratedSpectrum, SpectralBasis, cosine_basis
+from gofkit.spectrum import (
+    ModeratedSpectrum,
+    SpectralBasis,
+    cosine_basis,
+    effective_variance,
+    gauss_legendre_01,
+    nystrom_decompose,
+    sphere_zonal_spectrum,
+    tensor_product_basis,
+)
 
 
 def _rank_one_basis(lam=1.0):
@@ -256,6 +270,8 @@ def test_rho_grid_validation():
         RhoGrid(rho_star=0.0, m_star=3)
     with pytest.raises(ValueError):
         RhoGrid(rho_star=0.1, m_star=-1)
+    with pytest.raises(TypeError):
+        RhoGrid(rho_star=0.1, m_star=2, values=np.array([99.0]))
 
 
 def test_theory_threshold():
@@ -271,6 +287,9 @@ def test_adaptive_single_point_zero():
     grid = adaptive_grid(1000, 1.0)
     res = adaptive_stat(basis, grid, Sample(np.array([0.81])))
     assert res.value == pytest.approx(0.0)
+    # one point: n eta^2 equals the diagonal term at every rho, and the tie
+    # goes to the lowest rho
+    assert res.argmax_rho == grid.values[0]
 
 
 def test_adaptive_single_entry_grid():
@@ -291,6 +310,65 @@ def test_adaptive_dominates_grid_members():
     for rho in grid.values:
         assert res.value >= studentized_stat(
             ModeratedSpectrum(basis, float(rho)), sample) - 1e-12
+
+
+# one basis of each kind; the zonal one groups its eigenvalues by degree, so
+# its summary has fewer entries than basis.eigenvalues
+_BASES = {
+    "cosine": cosine_basis(24),
+    "tensor": tensor_product_basis(cosine_basis(8), 3, 40),
+    "nystrom": nystrom_decompose(kernels.cosine_reference_kernel(200), gauss_legendre_01(64),
+                                 12, null_id="uniform-cube-1"),
+    "zonal": sphere_zonal_spectrum(kernels.zonal_profile("gaussian-sphere:1.0"), 3, 12),
+}
+
+
+def _studentized_reference(basis, rho, sample):
+    """(n eta^2 - diag term) / sqrt(2 v) from the public per-rho pieces."""
+    ms = ModeratedSpectrum(basis, rho)
+    num = sample.n * eta_sq(ms, sample) - diag_term(ms, sample)
+    return num / math.sqrt(2.0 * effective_variance(ms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_BASES)), st.integers(2, 120), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-6, 0.5), st.integers(0, 12))
+def test_adaptive_is_the_first_maximiser_of_per_rho_studentized(name, n, seed, rho_star,
+                                                                m_star):
+    basis = _BASES[name]
+    x = null_sampler(basis.null_id)(n, np.random.default_rng(seed))
+    if name != "zonal":
+        x = x ** 1.5  # off the null, so the grid values differ
+    sample, grid = Sample(x), RhoGrid(rho_star, m_star)
+    per_rho = [studentized_stat(ModeratedSpectrum(basis, float(r)), sample)
+               for r in grid.values]
+    for r, t in zip(grid.values, per_rho):
+        assert t == pytest.approx(_studentized_reference(basis, float(r), sample),
+                                  rel=1e-9, abs=1e-9)
+    assert statistic("adaptive", basis, basis.summary(x), grid=grid) == max(per_rho)
+    best = adaptive_stat(basis, grid, sample)
+    assert best.value == max(per_rho)
+    assert best.argmax_rho == grid.values[per_rho.index(max(per_rho))]
+    assert statistic("m3d", basis, basis.summary(x), rho=grid.values[-1]) == per_rho[-1]
+
+
+def test_run_test_evaluates_the_adaptive_grid_once(monkeypatch):
+    basis = cosine_basis(32)
+    sample = Sample(np.random.default_rng(4).random(200) ** 1.5)
+    calls = []
+    real = embedding._studentized
+
+    def spy(basis, summary, rhos):
+        calls.append(len(rhos))
+        return real(basis, summary, rhos)
+
+    monkeypatch.setattr(embedding, "_studentized", spy)
+    report = run_test("adaptive", basis, sample, 0.05, threshold="theory")
+    grid = adaptive_grid(sample.n, basis.decay_exponent)
+    assert calls == [grid.values.size]
+    best = adaptive_stat(basis, grid, sample)
+    assert report.statistic == best.value
+    assert report.parameters["argmax_rho"] == best.argmax_rho
 
 
 def test_adaptive_monotone_in_refinement():

@@ -34,9 +34,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _common_flags(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed; required on all Monte-Carlo paths")
+def _common_flags(p, seed=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed; required on all Monte-Carlo paths")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults; explicit flags override")
     p.add_argument("--quiet", action="store_true",
@@ -63,7 +64,7 @@ def build_parser() -> _Parser:
                    help="center the kernel to make the basis degenerate")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore the content-addressed cache and recompute")
-    _common_flags(p)
+    _common_flags(p, seed=False)  # decompose draws nothing
 
     p = sub.add_parser("test", help="run one goodness-of-fit test on a CSV sample")
     p.add_argument("--kind", required=True, choices=["mmd", "m3d", "adaptive"])

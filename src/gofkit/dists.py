@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -66,11 +66,7 @@ def _validate_spec(spec: "AlternativeSpec") -> None:
         w = np.asarray([c["weight"] for c in p["components"]], float)
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be positive and sum to 1")
-        for c in p["components"]:
-            if c["type"] not in ("vmf", "watson"):
-                raise ValueError("unknown sphere-mixture component type")
-            if abs(np.linalg.norm(np.asarray(c["mu"], float)) - 1.0) > 1e-8:
-                raise ValueError("mu must be a unit vector")
+        _mixture_components(spec)
         return
     if fam == "spectral":
         basis: SpectralBasis = p["basis"]
@@ -84,6 +80,19 @@ def _validate_spec(spec: "AlternativeSpec") -> None:
             raise ValueError("sup-norm bound >= 1: density 1 + u may be negative")
         return
     raise ValueError("unknown alternative family: %r" % fam)
+
+
+def _mixture_components(spec: AlternativeSpec) -> list:
+    """(weight, vmf or watson AlternativeSpec) for each sphere-mixture
+    component; building the spec validates the component."""
+    out = []
+    for c in spec.params["components"]:
+        if c["type"] not in ("vmf", "watson"):
+            raise ValueError("unknown sphere-mixture component type")
+        out.append((c["weight"], AlternativeSpec(
+            family=c["type"], dim=spec.dim,
+            params={"mu": c["mu"], "kappa": c["kappa"]})))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +163,13 @@ class _Mapped1D:
         return np.where((y >= 0) & (y <= 1), out, 0.0)
 
     def sample01(self, n, rng):
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(n - filled, 16)
+        def propose(left):
+            m = max(left, 16)
             comp = rng.choice(self.w.size, size=m, p=self.w)
             x = rng.standard_normal(m) * self.sd[comp] + self.mu[comp]
-            keep = x[(x >= self.lo) & (x <= self.hi)]
-            take = min(keep.size, n - filled)
-            out[filled:filled + take] = keep[:take]
-            filled += take
-        return (out - self.lo) / self.width
+            return x[(x >= self.lo) & (x <= self.hi)]
+
+        return (_accepted(n, propose) - self.lo) / self.width
 
     def square_integral(self):
         y, w = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -199,6 +204,19 @@ def watson_const(d: int, kappa: float) -> float:
 # sampling
 
 
+def _accepted(n: int, propose) -> np.ndarray:
+    """The first n candidates accepted by an accept-reject sampler, in draw
+    order.  ``propose(left)`` draws one batch sized for the ``left`` still
+    missing and returns the candidates it accepted; the surplus of the last
+    batch is dropped.  n = 0 draws nothing and gives an empty 1-D array."""
+    parts, left = [], n
+    while left > 0:
+        keep = propose(left)[:left]
+        parts.append(keep)
+        left -= keep.shape[0]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def sample(spec: AlternativeSpec, n: int, seed=None) -> np.ndarray:
     """n i.i.d. draws from the alternative; deterministic given the seed."""
     if n < 1:
@@ -219,22 +237,18 @@ def sample(spec: AlternativeSpec, n: int, seed=None) -> np.ndarray:
     if fam == "watson":
         return sample_watson(np.asarray(p["mu"], float), p["kappa"], n, rng)
     if fam == "sphere-mixture":
-        comps = p["components"]
-        w = np.asarray([c["weight"] for c in comps], float)
+        comps = _mixture_components(spec)
+        w = np.asarray([weight for weight, _ in comps], float)
         which = rng.choice(len(comps), size=n, p=w)
         out = np.empty((n, d))
-        for i, c in enumerate(comps):
+        for i, (_, sub) in enumerate(comps):
             idx = np.flatnonzero(which == i)
-            if idx.size == 0:
-                continue
-            mu = np.asarray(c["mu"], float)
-            if c["type"] == "vmf":
-                out[idx] = sample_vmf(mu, c["kappa"], idx.size, rng)
-            else:
-                out[idx] = sample_watson(mu, c["kappa"], idx.size, rng)
+            if idx.size:
+                # default_rng(rng) is rng itself, so the stream continues
+                out[idx] = sample(sub, idx.size, seed=rng)
         return out
     if fam == "spectral":
-        return _sample_spectral(p, n, d, rng)
+        return _sample_spectral(p, n, rng)
     raise ValueError("unknown alternative family: %r" % fam)
 
 
@@ -243,16 +257,14 @@ def _sample_gaussian_mixture(p, n, d, rng):
     means = np.asarray(p["means"], float)
     scale = float(p.get("scale", 0.05))
     uniform_weight = float(p.get("uniform_weight", 0.0))
-    out = np.empty((n, d))
-    filled = 0
-    while filled < n:
-        m = max(n - filled, 16)
+
+    def propose(left):
+        m = max(left, 16)
         comp = rng.choice(w.size, size=m, p=w)
         x = means[comp] + scale * rng.standard_normal((m, d))
-        keep = x[np.all((x >= 0.0) & (x <= 1.0), axis=1)]
-        take = min(keep.shape[0], n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
+        return x[np.all((x >= 0.0) & (x <= 1.0), axis=1)]
+
+    out = _accepted(n, propose)
     if uniform_weight > 0.0:
         # contamination toward the null: with prob u the draw is uniform
         mask = rng.random(n) < uniform_weight
@@ -275,19 +287,15 @@ def _sample_vmf_radial(kappa, d, n, rng):
     b = p / (math.sqrt(4.0 * kappa * kappa + p * p) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + p * math.log(1.0 - x0 * x0)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(n - filled, 16)
+
+    def propose(left):
+        m = max(left, 16)
         z = rng.beta(p / 2.0, p / 2.0, size=m)
         t = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
         u = rng.random(m)
-        ok = kappa * t + p * np.log1p(-x0 * t) - c >= np.log(u)
-        keep = t[ok]
-        take = min(keep.size, n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    return out
+        return t[kappa * t + p * np.log1p(-x0 * t) - c >= np.log(u)]
+
+    return _accepted(n, propose)
 
 
 def _tangent_normal(mu, t, n, rng):
@@ -315,42 +323,36 @@ def sample_watson(mu: np.ndarray, kappa: float, n: int,
         log_env = 0.0  # maximum at t = 0 when kappa small
     else:
         log_env = kappa  # expo == 0 (d == 3): max at t = +-1
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 16)
+
+    def propose(left):
+        m = max(2 * left, 16)
         t = rng.uniform(-1.0, 1.0, size=m)
         with np.errstate(divide="ignore"):
             logh = kappa * t * t + expo * np.log1p(-t * t)
         u = rng.random(m)
-        keep = t[np.log(u) + log_env <= logh]
-        take = min(keep.size, n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    return _tangent_normal(mu, out, n, rng)
+        return t[np.log(u) + log_env <= logh]
+
+    return _tangent_normal(mu, _accepted(n, propose), n, rng)
 
 
-def _sample_spectral(p, n, d, rng):
+def _sample_spectral(p, n, rng):
     basis: SpectralBasis = p["basis"]
     a = np.asarray(p["coefficients"], float)
     envelope = 1.0 + float(np.sum(np.abs(a) * basis.sup_norms[: a.size]))
     proposal = null_sampler(basis.null_id)
     active = np.flatnonzero(a != 0.0)
-    out = np.empty((n, d))
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 64)
+
+    def propose(left):
+        m = max(2 * left, 64)
         x = proposal(m, rng)
         feats = basis.features(x)[:, active]
         dens = 1.0 + feats @ a[active]
         if np.any(dens < -1e-9):
             raise RuntimeError("spectral density went negative despite envelope")
         u = rng.random(m)
-        keep = x[u * envelope <= dens]
-        take = min(keep.shape[0], n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-    return out
+        return x[u * envelope <= dens]
+
+    return _accepted(n, propose)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +384,8 @@ def density(spec: AlternativeSpec, x) -> np.ndarray:
         return watson_const(d, p["kappa"]) * np.exp(p["kappa"] * (x @ mu) ** 2)
     if fam == "sphere-mixture":
         out = np.zeros(x.shape[0])
-        for c in p["components"]:
-            sub = AlternativeSpec(family=c["type"], dim=d,
-                                  params={"mu": c["mu"], "kappa": c["kappa"]})
-            out += c["weight"] * density(sub, x)
+        for weight, sub in _mixture_components(spec):
+            out += weight * density(sub, x)
         return out
     if fam == "spectral":
         basis: SpectralBasis = p["basis"]
@@ -397,16 +397,24 @@ def density(spec: AlternativeSpec, x) -> np.ndarray:
     raise ValueError("unsupported family: %r" % fam)
 
 
+def _gaussian_mixture_mass(w, means, scale) -> float:
+    """sum_j w_j P(N(mean_j, scale^2 I) in [0,1]^d): the sampler keeps a
+    whole-mixture draw only inside the cube, so its law is the mixture
+    divided by this mass."""
+    z = special.ndtr((1.0 - means) / scale) - special.ndtr((0.0 - means) / scale)
+    return float(w @ np.prod(z, axis=1))
+
+
 def _density_gaussian_mixture(p, x, d):
     w = np.asarray(p["weights"], float)
     means = np.asarray(p["means"], float)
     scale = float(p.get("scale", 0.05))
     out = np.zeros(x.shape[0])
     for wj, mj in zip(w, means):
-        z = np.prod(special.ndtr((1.0 - mj) / scale) - special.ndtr((0.0 - mj) / scale))
         logpdf = -0.5 * np.sum(((x - mj) / scale) ** 2, axis=1) \
             - d * math.log(scale * math.sqrt(2 * math.pi))
-        out += wj * np.exp(logpdf) / z
+        out += wj * np.exp(logpdf)
+    out /= _gaussian_mixture_mass(w, means, scale)
     u = float(p.get("uniform_weight", 0.0))
     out = u + (1.0 - u) * out
     inside = np.all((x >= 0.0) & (x <= 1.0), axis=1)
@@ -434,7 +442,7 @@ def make_gaussian_mixture_spec(d: int, seed=None, *, n_components: int = 5,
 # chi-square divergence
 
 
-def chi_square_divergence(spec: AlternativeSpec, null_id: Optional[str] = None) -> float:
+def chi_square_divergence(spec: AlternativeSpec) -> float:
     """chi^2(P, P0) = int (dP/dP0)^2 dP0 - 1 against the family's null."""
     fam, d, p = spec.family, spec.dim, spec.params
     if fam == "spectral":
@@ -466,74 +474,20 @@ def _chi2_gaussian_mixture(p, d):
     y = (y + 1.0) / 2.0
     gw = gw / 2.0
     total = 0.0
-    z = special.ndtr((1.0 - means) / scale) - special.ndtr((0.0 - means) / scale)
     for a in range(w.size):
         for b in range(w.size):
             prod = 1.0
             for j in range(d):
                 fa = np.exp(-0.5 * ((y - means[a, j]) / scale) ** 2) \
-                    / (scale * math.sqrt(2 * math.pi)) / z[a, j]
+                    / (scale * math.sqrt(2 * math.pi))
                 fb = np.exp(-0.5 * ((y - means[b, j]) / scale) ** 2) \
-                    / (scale * math.sqrt(2 * math.pi)) / z[b, j]
+                    / (scale * math.sqrt(2 * math.pi))
                 prod *= float(np.sum(gw * fa * fb))
             total += w[a] * w[b] * prod
+    total /= _gaussian_mixture_mass(w, means, scale) ** 2
     u = float(p.get("uniform_weight", 0.0))
     # chi^2 of u + (1-u) f against uniform scales by (1-u)^2
     return (1.0 - u) ** 2 * (total - 1.0)
-
-
-def chi_square_divergence_quadrature(spec: AlternativeSpec, basis: SpectralBasis,
-                                     nodes: int = _GL_NODES) -> float:
-    """1-D quadrature cross-check of the spectral-family Parseval identity."""
-    if spec.family != "spectral" or parse_null_id(basis.null_id) != ("uniform-cube", 1):
-        raise ValueError("quadrature cross-check supports 1-D spectral specs only")
-    y, w = np.polynomial.legendre.leggauss(nodes)
-    y = ((y + 1.0) / 2.0)[:, None]
-    w = w / 2.0
-    dens = density(spec, y)
-    return float(np.sum(w * dens * dens)) - 1.0
-
-
-# ---------------------------------------------------------------------------
-# interpolation-class diagnostics
-
-
-@dataclass(frozen=True)
-class InterpolationDiagnostic:
-    theta: float
-    m_literal: float
-    m_proof: float
-    trace_literal: np.ndarray
-    trace_proof: np.ndarray
-
-
-def interpolation_radius(a: Sequence[float], eigenvalues: Sequence[float],
-                         theta: float) -> InterpolationDiagnostic:
-    """Minimal M for membership of u = sum a_k phi_k in the interpolation class.
-
-    Two readings of the sufficient condition are reported: the literal one,
-    max_K (sum_{k<=K} a_k^2/lambda_k)^{2/theta} (sum_{k>=K} a_k^2) <= M^2,
-    and the variant with head exponent 1/theta and tail k >= K+1.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    a = np.asarray(a, float)
-    lam = np.asarray(eigenvalues, float)
-    if lam.size < a.size:
-        raise ValueError("eigenvalue list shorter than coefficient list")
-    a2 = a * a
-    head = np.cumsum(a2 / lam[: a.size])
-    tail_from_k = np.concatenate((np.cumsum(a2[::-1])[::-1], [0.0]))
-    ks = np.arange(1, a.size + 1)
-    lit = head ** (2.0 / theta) * tail_from_k[ks - 1]
-    prf = head ** (1.0 / theta) * tail_from_k[ks]
-    return InterpolationDiagnostic(
-        theta=theta,
-        m_literal=math.sqrt(float(lit.max(initial=0.0))),
-        m_proof=math.sqrt(float(prf.max(initial=0.0))),
-        trace_literal=lit,
-        trace_proof=prf,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +528,6 @@ def least_favorable(basis: SpectralBasis, n: int, s: float, theta: float,
 
 # ---------------------------------------------------------------------------
 # serialization helpers for the CLI / plan files
-
-
-def spec_to_config(spec: AlternativeSpec) -> dict:
-    out = {"family": spec.family, "dim": spec.dim}
-    for k, v in spec.params.items():
-        if k == "basis":
-            continue
-        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
-    return out
 
 
 def spec_from_config(cfg: dict, basis: Optional[SpectralBasis] = None) -> AlternativeSpec:

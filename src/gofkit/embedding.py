@@ -54,7 +54,7 @@ class RhoGrid:
 
     rho_star: float
     m_star: int
-    values: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.rho_star <= 0:
@@ -157,12 +157,6 @@ def eta_sq_gram(ms: ModeratedSpectrum, sample: Sample,
     weights = ms.moderated_eigenvalues
     gram = ms.basis.kernel_matrix(sample.points, weights=weights)
     return float(gram.sum()) / (sample.n ** 2)
-
-
-def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
-    """n^-1 sum_i K~_rho(X_i, X_i)."""
-    weights = ms.moderated_eigenvalues
-    return float(ms.basis.kernel_diag(sample.points, weights=weights).mean())
 
 
 def studentized_stat(ms: ModeratedSpectrum, sample: Sample) -> float:

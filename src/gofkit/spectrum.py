@@ -58,13 +58,6 @@ def gauss_legendre_01(n: int) -> Quadrature:
     return Quadrature(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-def monte_carlo_quadrature(points: np.ndarray) -> Quadrature:
-    """Equal-weight quadrature from i.i.d. draws of a generic P0."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    return Quadrature(nodes=points, weights=np.full(n, 1.0 / n))
-
-
 @dataclass(frozen=True)
 class PowerLawTail:
     """Model lambda_k = amplitude * k**(-2 s) for k > start."""
@@ -153,12 +146,6 @@ class SpectralBasis:
         fy = fx if Y is None else self.features(Y) * root
         return fx @ fy.T
 
-    def kernel_diag(self, X, weights=None) -> np.ndarray:
-        if weights is None:
-            weights = self.eigenvalues
-        fx = self.features(X)
-        return (fx * fx) @ weights
-
     def summary(self, X) -> "SampleSummary":
         """Per-eigenvalue squared empirical means and diagonal means."""
         fx = self.features(X)
@@ -194,17 +181,12 @@ class NystromBasis(SpectralBasis):
     """Basis from a weighted Gram eigenproblem with off-node Nystrom extension."""
 
     def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, **kw):
-        self._kernel = kernel
         self.quad = quad
         self.phi_nodes = np.asarray(phi_nodes, dtype=float)
         lam = np.asarray(eigenvalues, dtype=float)
         # phi_k(x) = lam_k^{-1} sum_i w_i K(x, x_i) phi_k(x_i)
         coef = (quad.weights[:, None] * self.phi_nodes) / lam
         super().__init__(lam, lambda X: kernel(X, quad.nodes) @ coef, **kw)
-
-    @property
-    def kernel(self):
-        return self._kernel
 
 
 class SphereZonalBasis(SpectralBasis):
@@ -237,37 +219,21 @@ class SphereZonalBasis(SpectralBasis):
         kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
         super().__init__(expanded, None, **kw)
 
-    def _degree_weights(self, weights) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape == self.eigenvalues.shape:
-            return weights[self._block_start]
-        if weights.shape == self.degree_eigenvalues.shape:
-            return weights
-        raise ValueError("weight vector does not match the spectrum")
-
-    def _gegenbauer_sum(self, t: np.ndarray, degree_weights: np.ndarray) -> np.ndarray:
+    def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
+        weights = np.asarray(self.eigenvalues if weights is None else weights, dtype=float)
+        if weights.shape != self.eigenvalues.shape:
+            raise ValueError("weight vector does not match the spectrum")
+        X = self._points(X)
+        Y = X if Y is None else self._points(Y)
+        t = np.clip(X @ Y.T, -1.0, 1.0)
+        # one weight per degree: the first entry of its block
         coef = np.zeros(int(self.degrees.max()) + 1)
-        coef[self.degrees] = degree_weights * self.multiplicities
+        coef[self.degrees] = weights[self._block_start] * self.multiplicities
         out = np.zeros_like(t)
         for k, ck in _normalized_gegenbauer(t, (self.d - 2) / 2.0, coef.size - 1):
             if coef[k] != 0.0:
                 out += coef[k] * ck
         return out
-
-    def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
-        if weights is None:
-            weights = self.eigenvalues
-        X = self._points(X)
-        Y = X if Y is None else self._points(Y)
-        t = np.clip(X @ Y.T, -1.0, 1.0)
-        return self._gegenbauer_sum(t, self._degree_weights(weights))
-
-    def kernel_diag(self, X, weights=None) -> np.ndarray:
-        if weights is None:
-            weights = self.eigenvalues
-        dw = self._degree_weights(weights)
-        value = float(np.sum(dw * self.multiplicities))
-        return np.full(self._points(X).shape[0], value)
 
     def summary(self, X) -> SampleSummary:
         X = self._points(X)
@@ -413,11 +379,6 @@ def center_kernel(kernel, quad: Quadrature):
         return base - row_mean(X)[:, None] - row_mean(Y)[None, :] + grand
 
     return centered
-
-
-def eval_truncated(basis: SpectralBasis, x, y) -> float:
-    """Sum_{k<=K} lambda_k phi_k(x) phi_k(y)."""
-    return float(basis.kernel_matrix(x, y)[0, 0])
 
 
 def moderated_eval(ms: ModeratedSpectrum, x, y) -> float:
@@ -713,14 +674,22 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError("not a %s spectrum cache" % SPEC_FORMAT)
-        hlen = struct.unpack("<I", fh.read(4))[0]
-        header = json.loads(fh.read(hlen).decode())
+
+        def read(size):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError("truncated spectrum cache %s: %d of %d bytes at offset "
+                                 "%d" % (path, len(data), size, fh.tell() - len(data)))
+            return data
+
+        hlen = struct.unpack("<I", read(4))[0]
+        header = json.loads(read(hlen).decode())
 
         def read_array():
-            ndim = struct.unpack("<I", fh.read(4))[0]
-            shape = struct.unpack("<%dq" % ndim, fh.read(8 * ndim))
+            ndim = struct.unpack("<I", read(4))[0]
+            shape = struct.unpack("<%dq" % ndim, read(8 * ndim))
             count = int(np.prod(shape))
-            return np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+            return np.frombuffer(read(8 * count), dtype="<f8").reshape(shape).copy()
 
         if header["basis_type"] == "nystrom":
             lam = read_array()
@@ -728,7 +697,7 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
             weights = read_array()
             phi_nodes = read_array()
             kernel = registry(header["kernel_id"])
-            basis = NystromBasis(
+            return NystromBasis(
                 lam, kernel, Quadrature(nodes, weights), phi_nodes,
                 null_id=header["null_id"],
                 degenerate=header["degenerate"],
@@ -736,16 +705,14 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
                 sup_norms=np.abs(phi_nodes).max(axis=0),
                 meta={"kernel_id": header["kernel_id"], "nodes": header["nodes"]},
             )
-            return basis
         if header["basis_type"] == "zonal":
             lam = read_array()
             degrees = read_array().astype(int)
-            basis = SphereZonalBasis(
+            return SphereZonalBasis(
                 lam, degrees, header["d"],
                 null_id=header["null_id"],
                 degenerate=header["degenerate"],
                 decay_exponent=header["decay_exponent"],
                 meta={"kernel_id": header["kernel_id"]},
             )
-            return basis
     raise ValueError("unknown basis type in spectrum cache")

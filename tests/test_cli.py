@@ -228,11 +228,54 @@ def centered_file(tmp_path, cache_dir):
     return out
 
 
-@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"]])
-def test_removed_flags_exit_1(centered_file, data_file, flag, capsys):
-    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
-                     "--data", str(data_file), "--rho", "0.1", *flag]) == 1
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"], ["--seed", "5"]])
+def test_removed_flags_exit_1(centered_file, data_file, tmp_path, flag, capsys):
+    if flag[0] == "--seed":  # decompose draws nothing, so it takes no seed
+        argv = ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                "--trunc", "16", "--nodes", "128", "--out", str(tmp_path / "s.spec")]
+    else:
+        argv = ["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                "--data", str(data_file), "--rho", "0.1"]
+    assert cli.main(argv + flag) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_decompose_reads_a_config_that_sets_a_seed(tmp_path, cache_dir, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "quiet": True}))
+    out = tmp_path / "s.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "16", "--nodes", "128", "--out", str(out),
+                     "--config", str(cfg)]) == 0
+    assert out.stat().st_size > 0 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kernel, null, trunc", [
+    ("cosine-ref", "uniform-cube-1", "16"),
+    ("gaussian-sphere:1.0", "uniform-sphere-3", "8"),
+])
+def test_truncated_spectrum_cache_is_one_clean_error(tmp_path, cache_dir, data_file,
+                                                     capsys, kernel, null, trunc):
+    from gofkit.spectrum import _MAGIC, load_spectrum
+    full = tmp_path / "full.spec"
+    assert cli.main(["decompose", "--kernel", kernel, "--null", null, "--trunc", trunc,
+                     "--nodes", "128", "--center", "--out", str(full), "--quiet"]) == 0
+    data = full.read_bytes()
+    load_spectrum(full)
+    head = len(_MAGIC) + 4 + int.from_bytes(data[len(_MAGIC):len(_MAGIC) + 4], "little")
+    # inside: the header length, the header, an array's ndim, its shape, the
+    # first array's values, the middle of the file, the last value
+    cuts = [len(_MAGIC) + 2, head - 5, head + 2, head + 7, head + 20,
+            len(data) // 2, len(data) - 1]
+    for cut in cuts:
+        short = tmp_path / ("cut%d.spec" % cut)
+        short.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated spectrum cache"):
+            load_spectrum(short)
+        assert cli.main(["test", "--kind", "m3d", "--spectrum", str(short),
+                         "--data", str(data_file), "--rho", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert "truncated spectrum cache" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("kind", ["mmd", "m3d", "adaptive"])
@@ -314,3 +357,13 @@ def test_both_sphere_kernel_readers_share_one_parser(tmp_path, cache_dir, capsys
     assert cli.main(["power", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == decompose_err
     assert "gaussian-sphere:S2 or constant" in decompose_err
+
+
+def test_version_matches_pyproject():
+    import pathlib
+
+    import gofkit
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert gofkit.__version__ == tomllib.load(fh)["project"]["version"]

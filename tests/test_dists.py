@@ -4,24 +4,32 @@ import math
 import numpy as np
 import pytest
 
+from gofkit import dists
 from gofkit.dists import (
     AlternativeSpec,
     alt_from_flag,
     chi_square_divergence,
-    chi_square_divergence_quadrature,
     density,
-    interpolation_radius,
     least_favorable,
     make_gaussian_mixture_spec,
     null_sampler,
     sample,
+    sample_vmf,
+    sample_watson,
     spec_from_config,
-    spec_to_config,
     uniform_sphere,
     vmf_log_const,
     watson_const,
 )
-from gofkit.spectrum import cosine_basis, sphere_surface_area, tensor_product_basis
+from gofkit.spectrum import cosine_basis, sphere_surface_area
+
+
+def _chi2_quadrature(spec: AlternativeSpec, nodes: int = 256) -> float:
+    """chi^2 of an alternative on [0,1] against the uniform, by Gauss-Legendre
+    quadrature of its density: a reference for the closed forms."""
+    y, w = np.polynomial.legendre.leggauss(nodes)
+    dens = density(spec, ((y + 1.0) / 2.0)[:, None])
+    return float(np.sum(w / 2.0 * dens * dens)) - 1.0
 
 
 def test_null_sampler_parsing():
@@ -50,10 +58,66 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError, match="uniform_weight"):
         AlternativeSpec("gaussian-mixture", 1,
                         {"weights": [1.0], "means": [[0.5]], "uniform_weight": 1.0})
+    # sphere-mixture components are checked like vmf and watson specs
+    ok = {"type": "vmf", "weight": 0.5, "mu": [1.0, 0.0, 0.0], "kappa": 1.0}
+    for bad, match in [
+        ({"type": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": -5.0}, "kappa"),
+        ({"type": "watson", "mu": [0.0, 1.0], "kappa": 1.0}, "dimension"),
+        ({"type": "vmf", "mu": [0.0, 0.5, 0.5], "kappa": 1.0}, "unit"),
+        ({"type": "bingham", "mu": [0.0, 0.0, 1.0], "kappa": 1.0}, "component type"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            AlternativeSpec("sphere-mixture", 3,
+                            {"components": [ok, dict(bad, weight=0.5)]})
 
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def test_accepted_keeps_the_first_n_candidates_in_draw_order():
+    batches = iter([np.arange(3), np.arange(0), np.arange(3, 10)])
+    asked = []
+
+    def propose(left):
+        asked.append(left)
+        return next(batches)
+
+    assert dists._accepted(5, propose).tolist() == [0, 1, 2, 3, 4]
+    assert asked == [5, 2, 2]
+    assert dists._accepted(0, propose).shape == (0,)
+
+
+def test_spherical_samplers_accept_n_zero():
+    rng = np.random.default_rng(0)
+    for d in (3, 5):
+        mu = np.eye(d)[-1]
+        assert sample_vmf(mu, 2.0, 0, rng).shape == (0, d)
+        assert sample_watson(mu, 2.0, 0, rng).shape == (0, d)
+
+
+def test_spectral_sampler_draws_proposals_through_null_sampler(monkeypatch):
+    # looked up at call time, so a wrapper (e.g. a row counter) sees every batch
+    rows = []
+    original = dists.null_sampler
+
+    def counting(null_id):
+        draw = original(null_id)
+        return lambda m, rng: rows.append(m) or draw(m, rng)
+
+    monkeypatch.setattr(dists, "null_sampler", counting)
+    spec = least_favorable(cosine_basis(64), 1000, 1.0, 0.0, 0.01, seed=0)
+    assert sample(spec, 100, seed=1).shape == (100, 1)
+    assert rows and rows[0] == 200
+
+
+def test_sphere_mixture_draws_each_component_from_one_stream():
+    mu, kappa = np.array([0.0, 0.0, 1.0]), 3.0
+    spec = AlternativeSpec("sphere-mixture", 3, {"components": [
+        {"type": "watson", "weight": 1.0, "mu": mu.tolist(), "kappa": kappa}]})
+    rng = np.random.default_rng(4)
+    rng.choice(1, size=50, p=[1.0])
+    assert np.array_equal(sample(spec, 50, seed=4), sample_watson(mu, kappa, 50, rng))
 
 
 def test_vmf_kappa_zero_is_uniform():
@@ -186,6 +250,30 @@ def test_gaussian_mixture_density_integrates_with_contamination():
     assert float(w @ density(spec, y)) == pytest.approx(1.0, abs=1e-6)
 
 
+def _edge_mixture():
+    # the first component sits on the cube's face, so the box cuts half of it
+    return AlternativeSpec("gaussian-mixture", 1,
+                           {"weights": [0.5, 0.5], "means": [[0.0], [0.5]],
+                            "scale": 0.05})
+
+
+def test_gaussian_mixture_density_matches_the_sampler_at_the_edge():
+    spec, n = _edge_mixture(), 200_000
+    frac = float(np.mean(sample(spec, n, seed=12)[:, 0] < 0.25))
+    y, w = np.polynomial.legendre.leggauss(256)
+    mass = float(np.sum(w / 8.0 * density(spec, ((y + 1.0) / 8.0)[:, None])))
+    assert mass == pytest.approx(1.0 / 3.0, abs=1e-6)  # 0.25 / (0.25 + 0.5)
+    assert abs(frac - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / n)
+
+
+@pytest.mark.parametrize("uniform_weight", [0.0, 0.4])
+def test_gaussian_mixture_chi2_matches_its_density_at_the_edge(uniform_weight):
+    spec = _edge_mixture()
+    spec.params["uniform_weight"] = uniform_weight
+    assert _chi2_quadrature(spec, nodes=512) == pytest.approx(
+        chi_square_divergence(spec), rel=1e-6)
+
+
 def test_spectral_moment_identity():
     basis = cosine_basis(8)
     a = [0.2, -0.1]
@@ -208,16 +296,7 @@ def test_chi2_spectral_parseval():
     two = AlternativeSpec("spectral", 1,
                           {"basis": basis, "coefficients": [0.3, 0.4]})
     assert chi_square_divergence(two) == pytest.approx(0.25)
-    assert chi_square_divergence_quadrature(two, basis) == \
-        pytest.approx(0.25, abs=1e-6)
-
-
-def test_chi2_quadrature_refuses_a_ten_dimensional_spectral_spec():
-    # uniform-cube-10 starts with uniform-cube-1
-    basis = tensor_product_basis(cosine_basis(4), 10, 20)
-    spec = AlternativeSpec("spectral", 10, {"basis": basis, "coefficients": [0.1]})
-    with pytest.raises(ValueError, match="1-D spectral specs only"):
-        chi_square_divergence_quadrature(spec, basis)
+    assert _chi2_quadrature(two) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_chi2_null_is_zero():
@@ -263,49 +342,6 @@ def test_chi2_no_quadrature_path():
 
 
 # ---------------------------------------------------------------------------
-# interpolation diagnostics
-
-
-def test_interpolation_single_coefficient():
-    diag = interpolation_radius([1.0], [0.101321], 1.0)
-    assert diag.m_literal == pytest.approx(1.0 / 0.101321, rel=1e-6)
-    assert diag.m_literal == pytest.approx(9.870, abs=2e-3)
-
-
-def test_interpolation_zero_coefficients():
-    diag = interpolation_radius([0.0, 0.0], [0.5, 0.25], 1.0)
-    assert diag.m_literal == 0.0
-    assert diag.m_proof == 0.0
-
-
-def test_interpolation_rescaling_law():
-    lam = 1.0 / (np.arange(1, 9) * math.pi) ** 2
-    a = np.array([0.3, 0.1, 0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
-    theta = 2.0
-    base = interpolation_radius(a, lam, theta)
-    for c in (0.5, 2.0):
-        scaled = interpolation_radius(c * a, lam, theta)
-        # brute force: LHS scales by c^{2 + 4/theta}, so M by c^{1 + 2/theta}
-        assert scaled.m_literal == pytest.approx(
-            c ** (1.0 + 2.0 / theta) * base.m_literal, rel=1e-10)
-
-
-def test_interpolation_truncation_monotone():
-    lam = 1.0 / (np.arange(1, 7) * math.pi) ** 2
-    a = np.array([0.3, 0.2, 0.1, 0.05, 0.02, 0.01])
-    full = interpolation_radius(a, lam, 1.0)
-    trunc = interpolation_radius(a[:3], lam, 1.0)
-    assert trunc.m_literal <= full.m_literal + 1e-12
-
-
-def test_interpolation_validation():
-    with pytest.raises(ValueError):
-        interpolation_radius([0.1, 0.2], [0.5], 1.0)
-    with pytest.raises(ValueError):
-        interpolation_radius([0.1], [0.5], 0.0)
-
-
-# ---------------------------------------------------------------------------
 # least-favorable construction
 
 
@@ -339,7 +375,8 @@ def test_least_favorable_positivity_guard():
 
 def test_spec_config_roundtrip():
     spec = make_gaussian_mixture_spec(2, seed=11, uniform_weight=0.3)
-    cfg = spec_to_config(spec)
+    cfg = {"family": spec.family, "dim": spec.dim,
+           **{k: np.asarray(v).tolist() for k, v in spec.params.items()}}
     back = spec_from_config(cfg)
     assert back.family == spec.family and back.dim == spec.dim
     assert np.allclose(back.params["means"], spec.params["means"])

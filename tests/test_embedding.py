@@ -15,7 +15,6 @@ from gofkit.embedding import (
     TestReport,
     adaptive_grid,
     adaptive_stat,
-    diag_term,
     eta_sq,
     eta_sq_gram,
     mmd_vstat,
@@ -35,6 +34,12 @@ from gofkit.spectrum import (
     sphere_zonal_spectrum,
     tensor_product_basis,
 )
+
+
+def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
+    """n^-1 sum_i K~_rho(X_i, X_i): the mean diagonal of the moderated Gram."""
+    gram = ms.basis.kernel_matrix(sample.points, weights=ms.moderated_eigenvalues)
+    return float(np.diag(gram).mean())
 
 
 def _rank_one_basis(lam=1.0):
@@ -272,6 +277,13 @@ def test_rho_grid_validation():
         RhoGrid(rho_star=0.1, m_star=-1)
     with pytest.raises(TypeError):
         RhoGrid(rho_star=0.1, m_star=2, values=np.array([99.0]))
+
+
+def test_rho_grid_compares_and_hashes_by_its_parameters():
+    a, b = RhoGrid(0.1, 2), RhoGrid(0.1, 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != RhoGrid(0.1, 3) and a != RhoGrid(0.2, 2)
 
 
 def test_theory_threshold():

@@ -23,13 +23,11 @@ from gofkit.spectrum import (
     cosine_basis,
     effective_variance,
     estimate_decay_exponent,
-    eval_truncated,
     gauss_legendre_01,
     harmonic_dimension,
     load_spectrum,
     moderate,
     moderated_eval,
-    monte_carlo_quadrature,
     nystrom_decompose,
     parse_null_id,
     save_spectrum,
@@ -59,12 +57,6 @@ def test_quadrature_rejects_bad_weights():
         Quadrature(np.array([[0.1], [0.9]]), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Quadrature(np.array([[0.1], [0.9]]), np.array([1.5, -0.5]))
-
-
-def test_monte_carlo_quadrature_equal_weights():
-    pts = np.random.default_rng(0).random((37, 2))
-    q = monte_carlo_quadrature(pts)
-    assert np.allclose(q.weights, 1.0 / 37)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +164,26 @@ def test_center_row_means_vanish():
 # truncated / moderated evaluation
 
 
+def _eval_truncated(basis, x, y) -> float:
+    """Sum_{k<=K} lambda_k phi_k(x) phi_k(y) at one pair of points."""
+    return float(basis.kernel_matrix(x, y)[0, 0])
+
+
 def test_eval_truncated_rank_one():
     basis = SpectralBasis([1.0], lambda X: np.ones((np.atleast_2d(X).shape[0], 1)),
                           null_id="uniform-cube-1")
-    assert eval_truncated(basis, 0.2, 0.9) == pytest.approx(1.0)
+    assert _eval_truncated(basis, 0.2, 0.9) == pytest.approx(1.0)
 
 
 def test_eval_truncated_half_point():
     basis = cosine_basis(20000)
     # sum over even k of 2/(k pi)^2 = 1/12
-    assert eval_truncated(basis, 0.5, 0.5) == pytest.approx(1.0 / 12.0, abs=1e-4)
+    assert _eval_truncated(basis, 0.5, 0.5) == pytest.approx(1.0 / 12.0, abs=1e-4)
 
 
 def test_eval_truncated_symmetry():
     basis = cosine_basis(50)
-    assert eval_truncated(basis, 0.12, 0.77) == eval_truncated(basis, 0.77, 0.12)
+    assert _eval_truncated(basis, 0.12, 0.77) == _eval_truncated(basis, 0.77, 0.12)
 
 
 def test_moderated_eval_coth_oracle():
@@ -290,7 +287,7 @@ def test_sphere_diagonal_is_multiplicity_weighted():
     g = gaussian_sphere_profile(1.0)
     basis = sphere_zonal_spectrum(g, 3, 10)
     x = np.array([[0.0, 0.0, 1.0]])
-    diag = basis.kernel_diag(x)[0]
+    diag = basis.kernel_matrix(x)[0, 0]
     mult = np.array([harmonic_dimension(3, k) for k in basis.degrees])
     assert diag == pytest.approx(float(np.sum(basis.degree_eigenvalues * mult)),
                                  rel=1e-12)
@@ -443,7 +440,7 @@ def test_zonal_summary_memory_is_linear_in_n():
 ])
 def test_zonal_rejects_points_off_the_sphere(bad, match):
     basis = _SPHERE_BASES[3][0]
-    for call in (basis.summary, basis.kernel_matrix, basis.kernel_diag):
+    for call in (basis.summary, basis.kernel_matrix):
         with pytest.raises(ValueError, match=match):
             call(bad)
     good = _sphere_points(3, 3, seed=0)
@@ -470,7 +467,7 @@ def test_cube_bases_reject_points_outside_the_cube(basis, d):
         (np.where(np.arange(5)[:, None] == 2, -1e-6, good), "outside"),
     ]
     for bad, match in bad_rows:
-        for call in (basis.summary, basis.features, basis.kernel_diag):
+        for call in (basis.summary, basis.features, basis.kernel_matrix):
             with pytest.raises(ValueError, match=match):
                 call(bad)
     # the corners and round-off past them are inside

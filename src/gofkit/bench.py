@@ -90,18 +90,6 @@ class PowerTable:
                              r.seed])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "PowerTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError("unexpected power-table CSV header")
-        rows = [PowerRow(test=t, n=int(n), dim=int(d), alternative=a,
-                         replicate=int(rep), reject=bool(int(rej)),
-                         statistic=float(s), threshold=float(thr), seed=int(sd))
-                for t, n, d, a, rep, rej, s, thr, sd in reader]
-        return cls(rows)
-
 
 def _replicate_seed(master: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(indices))

@@ -132,6 +132,18 @@ def _cache_key(kernel, null, trunc, nodes, center) -> str:
     return hashlib.sha256(raw.encode()).hexdigest()[:24] + ".spec"
 
 
+def _cache_serves(path, center: bool) -> bool:
+    """Whether the cache entry at ``path`` loads and can stand for a
+    decomposition with this ``center`` flag.  A Nystrom entry whose header
+    does not record centering loads uncentered, so a centered request
+    recomputes it."""
+    try:
+        basis = load_spectrum(path)
+    except (OSError, ValueError):
+        return False
+    return getattr(basis, "center", center) == center
+
+
 def _build_spectrum(args):
     null = args.null
     family, d = parse_null_id(null)
@@ -144,13 +156,10 @@ def _build_spectrum(args):
         basis.meta["kernel_id"] = args.kernel
         return basis
     if d == 1:
-        kernel = kernels.resolve_kernel(args.kernel)
-        quad = gauss_legendre_01(args.nodes)
-        if args.center:
-            from .spectrum import center_kernel
-            kernel = center_kernel(kernel, quad)
-        return nystrom_decompose(kernel, quad, args.trunc,
-                                 null_id=null, kernel_id=args.kernel)
+        return nystrom_decompose(kernels.resolve_kernel(args.kernel),
+                                 gauss_legendre_01(args.nodes), args.trunc,
+                                 null_id=null, kernel_id=args.kernel,
+                                 center=args.center)
     raise CliError("unsupported null id for decompose: %r "
                    "(use uniform-cube-1 or uniform-sphere-D)" % null)
 
@@ -201,7 +210,7 @@ def _cmd_decompose(args) -> int:
     cache_path = os.path.join(
         cache_dir, _cache_key(args.kernel, args.null, args.trunc, args.nodes,
                               args.center))
-    if not args.no_cache and os.path.exists(cache_path):
+    if not args.no_cache and _cache_serves(cache_path, args.center):
         shutil.copyfile(cache_path, args.out)
         _say(args, "cache hit: %s" % cache_path)
         return 0

@@ -345,7 +345,7 @@ def _sample_spectral(p, n, rng):
     def propose(left):
         m = max(2 * left, 64)
         x = proposal(m, rng)
-        feats = basis.features(x)[:, active]
+        feats = basis.head(x, a.size)[:, active]
         dens = 1.0 + feats @ a[active]
         if np.any(dens < -1e-9):
             raise RuntimeError("spectral density went negative despite envelope")
@@ -390,7 +390,7 @@ def density(spec: AlternativeSpec, x) -> np.ndarray:
     if fam == "spectral":
         basis: SpectralBasis = p["basis"]
         a = np.asarray(p["coefficients"], float)
-        u = basis.features(x)[:, : a.size] @ a
+        u = basis.head(x, a.size) @ a
         base = (1.0 if basis.null_id.startswith("uniform-cube")
                 else 1.0 / sphere_surface_area(d))
         return base * (1.0 + u)

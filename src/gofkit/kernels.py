@@ -22,15 +22,38 @@ def as_points(X) -> np.ndarray:
     return X
 
 
+def cosine_features(x, K: int) -> np.ndarray:
+    """sqrt(2) cos(k pi x) for k = 1..K at the points x, as a (K, len(x)) array.
+
+    Row k is the real part of sqrt(2) e^{i k pi x}, stepped from row k-1 by
+    one complex multiplication by e^{i pi x} over all points at once, which
+    costs a fraction of ``np.cos`` on every cell.  Its error grows like
+    k eps; the Chebyshev form cos(k t) = 2 cos(t) cos((k-1) t) - cos((k-2) t)
+    costs as much but grows like k^2 eps near t = 0 and t = pi (2.3e-11 at
+    K = 512).  A call with fewer points than degrees evaluates ``np.cos``
+    once instead, so that a huge K at a few points costs no Python loop.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < K:
+        return math.sqrt(2.0) * np.cos(np.outer(np.arange(1, K + 1), x) * math.pi)
+    out = np.empty((K, x.size))
+    step = np.exp(1j * math.pi * x)
+    z = math.sqrt(2.0) * step
+    for k in range(K):
+        out[k] = z.real
+        z *= step
+    return out
+
+
 def cosine_reference_kernel(n_terms: int = 200):
     """K(x,y) = sum_{k<=n_terms} 2 cos(k pi x) cos(k pi y) / (k pi)^2 on [0,1]."""
     k = np.arange(1, n_terms + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
 
     def kernel(X, Y):
-        fx = math.sqrt(2.0) * np.cos(np.outer(as_points(X)[:, 0], k) * math.pi)
-        fy = math.sqrt(2.0) * np.cos(np.outer(as_points(Y)[:, 0], k) * math.pi)
-        return (fx * lam) @ fy.T
+        fx = cosine_features(as_points(X)[:, 0], n_terms)
+        fy = cosine_features(as_points(Y)[:, 0], n_terms)
+        return (fx * lam[:, None]).T @ fy
 
     return kernel
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .kernels import as_points
+from .kernels import as_points, cosine_features
 
 
 class DecompositionError(RuntimeError):
@@ -71,9 +71,14 @@ class SpectralBasis:
     """Eigenvalues and eigenfunction evaluator of a kernel under P0.
 
     ``feature_fn(X) -> (n, K)`` evaluates the first K eigenfunctions at the
-    rows of X.  Bases without an explicit feature map (spherical harmonics)
-    override the kernel-evaluation entry points instead.
+    rows of X; :meth:`head` evaluates a prefix of them.  Bases without an
+    explicit feature map (spherical harmonics) override the
+    kernel-evaluation entry points instead.
     """
+
+    # (X, m) -> the first m eigenfunctions alone; set by bases that can
+    # evaluate a prefix for less than the whole feature map
+    _prefix_fn = None
 
     def __init__(
         self,
@@ -135,6 +140,14 @@ class SpectralBasis:
             raise NotImplementedError("basis has no explicit eigenfunctions")
         return self._feature_fn(self._points(X))
 
+    def head(self, X, m: int) -> np.ndarray:
+        """The first m eigenfunctions at the rows of X: ``features(X)[:, :m]``."""
+        if not 0 <= m <= self.truncation:
+            raise ValueError("head needs 0 <= m <= K = %d, got %d" % (self.truncation, m))
+        if self._prefix_fn is None:
+            return self.features(X)[:, :m]
+        return self._prefix_fn(self._points(X), m)
+
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         """Sum_k weights_k phi_k(x) phi_k(y) on all pairs (default: the kernel)."""
         if weights is None:
@@ -147,15 +160,34 @@ class SpectralBasis:
         return fx @ fy.T
 
     def summary(self, X) -> "SampleSummary":
-        """Per-eigenvalue squared empirical means and diagonal means."""
-        fx = self.features(X)
-        m = fx.mean(axis=0)
+        """Per-eigenvalue squared empirical means and diagonal means.
+
+        Sums phi and phi^2 over blocks of ``_SUMMARY_BLOCK`` rows, so memory
+        does not grow with the sample size.
+        """
+        X = self._points(X)
+        n = X.shape[0]
+        total, square = np.zeros(self.truncation), np.zeros(self.truncation)
+        for a in range(0, n, _SUMMARY_BLOCK):
+            fx = self.features(X[a:a + _SUMMARY_BLOCK])
+            total += fx.sum(axis=0)
+            square += np.einsum("ij,ij->j", fx, fx)
+        m = total / n
         return SampleSummary(
             group_eigenvalues=self.eigenvalues,
             mean_sq=m * m,
-            diag_mean=(fx * fx).mean(axis=0),
-            n=fx.shape[0],
+            diag_mean=square / n,
+            n=n,
         )
+
+
+class _PrefixBasis(SpectralBasis):
+    """A basis built from ``prefix_fn(X, m)``, which evaluates the first m
+    eigenfunctions at the (already checked) rows of X without the rest."""
+
+    def __init__(self, eigenvalues, prefix_fn, **kw):
+        self._prefix_fn = prefix_fn
+        super().__init__(eigenvalues, lambda X: prefix_fn(X, self.truncation), **kw)
 
 
 @dataclass(frozen=True)
@@ -177,16 +209,34 @@ class SampleSummary:
             raise ValueError("sample must contain at least one point")
 
 
-class NystromBasis(SpectralBasis):
-    """Basis from a weighted Gram eigenproblem with off-node Nystrom extension."""
+class NystromBasis(_PrefixBasis):
+    """Basis from a weighted Gram eigenproblem with off-node Nystrom extension.
 
-    def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, **kw):
+    With ``center=True`` the eigenfunctions are those of the centered kernel
+    K(x,y) - r(x) - r(y) + g, with r(x) = sum_i w_i K(x, x_i) and
+    g = sum_i w_i r(x_i); ``kernel`` itself stays uncentered.
+    """
+
+    def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, *,
+                 center: bool = False, **kw):
         self.quad = quad
         self.phi_nodes = np.asarray(phi_nodes, dtype=float)
+        self.center = bool(center)
         lam = np.asarray(eigenvalues, dtype=float)
+        w = quad.weights
         # phi_k(x) = lam_k^{-1} sum_i w_i K(x, x_i) phi_k(x_i)
-        coef = (quad.weights[:, None] * self.phi_nodes) / lam
-        super().__init__(lam, lambda X: kernel(X, quad.nodes) @ coef, **kw)
+        coef = (w[:, None] * self.phi_nodes) / lam
+        offset = np.zeros(lam.size)
+        if self.center:
+            # the centered kernel in one kernel call per block of points:
+            # K(x, nodes) (coef - w s') + (g s - r(nodes)' coef), s = sum_i coef_i
+            r = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float) @ w
+            s = coef.sum(axis=0)
+            offset = float(w @ r) * s - r @ coef
+            coef = coef - np.outer(w, s)
+
+        super().__init__(
+            lam, lambda X, m: kernel(X, quad.nodes) @ coef[:, :m] + offset[:m], **kw)
 
 
 class SphereZonalBasis(SpectralBasis):
@@ -254,6 +304,8 @@ class SphereZonalBasis(SpectralBasis):
         )
 
 
+# rows per block in SpectralBasis.summary: a block's features stay a few MB
+_SUMMARY_BLOCK = 4096
 # rows per block in SphereZonalBasis.summary: a block of the Gram matrix and
 # the recurrence's terms stay in cache (256 rows ran 2.3x slower at n = 1000)
 _ZONAL_BLOCK = 64
@@ -318,15 +370,20 @@ def parse_null_id(null_id: str) -> tuple[str, int]:
 
 
 def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
-                      kernel_id: str = "") -> NystromBasis:
+                      kernel_id: str = "", center: bool = False) -> NystromBasis:
     """Top-K eigenpairs of the weighted Gram matrix sqrt(w_i w_j) K(x_i, x_j).
 
-    ``kernel(X, Y)`` must return the (len(X), len(Y)) kernel matrix.
+    ``kernel(X, Y)`` must return the (len(X), len(Y)) kernel matrix.  With
+    ``center=True`` the kernel is first centered under ``quad``,
+    K(x,y) - E K(x,.) - E K(.,y) + E E K, which makes the basis degenerate.
     Eigenfunction signs are fixed by a deterministic reference function.
     """
     if K < 1 or K > quad.size:
         raise ValueError("K must satisfy 1 <= K <= node count")
     G = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float)
+    if center:
+        r = G @ quad.weights
+        G = G - r[:, None] - r[None, :] + float(quad.weights @ G @ quad.weights)
     scale = max(np.abs(G).max(), 1e-300)
     if np.abs(G - G.T).max() > 1e-8 * scale:
         raise ValueError("kernel is not symmetric on the quadrature nodes")
@@ -357,6 +414,7 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     decay = estimate_decay_exponent(lam) if K >= 8 else float("nan")
     basis = NystromBasis(
         lam, kernel, quad, phi_nodes,
+        center=center,
         null_id=null_id,
         degenerate=bool(np.all(np.abs(means) <= 1e-6)),
         decay_exponent=decay,
@@ -364,21 +422,6 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
         meta={"kernel_id": kernel_id, "nodes": quad.size},
     )
     return basis
-
-
-def center_kernel(kernel, quad: Quadrature):
-    """Degenerate version K(x,y) - E K(x,.) - E K(.,y) + E E K under ``quad``."""
-    nodes, w = quad.nodes, quad.weights
-    grand = float(w @ np.asarray(kernel(nodes, nodes), dtype=float) @ w)
-
-    def row_mean(X):
-        return np.asarray(kernel(as_points(X), nodes), dtype=float) @ w
-
-    def centered(X, Y):
-        base = np.asarray(kernel(as_points(X), as_points(Y)), dtype=float)
-        return base - row_mean(X)[:, None] - row_mean(Y)[None, :] + grand
-
-    return centered
 
 
 def moderated_eval(ms: ModeratedSpectrum, x, y) -> float:
@@ -488,17 +531,25 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
     idx = idx[order]
     lam = lam[order]
 
-    def feature_fn(X):
-        X = as_points(X)
+    def prefix_fn(X, m):
         if X.shape[1] != d:
             raise ValueError("points have wrong dimension")
-        cols = [factor.features(X[:, j]) for j in range(d)]
-        out = np.ones((X.shape[0], idx.shape[0]))
+        n, modes = X.shape[0], idx[:m]
+        top = int(modes.max(initial=0))
+        # table[i, j] is factor mode i at coordinate j of every point, mode 0
+        # the constant; one factor call covers all d coordinates
+        table = np.empty((top + 1, d, n))
+        table[0] = 1.0
+        table[1:] = factor.head(X.T.ravel(), top).T.reshape(top, d, n)
+        # multiply the coordinates' rows in order, as a column-by-column
+        # product would; a constant row multiplies by exactly 1.  The indices
+        # are in range: mode "clip" only skips the buffered copy of "raise"
+        out, rows = np.empty((m, n)), np.empty((m, n))
         for j in range(d):
-            active = idx[:, j] > 0
-            if np.any(active):
-                out[:, active] *= cols[j][:, idx[active, j] - 1]
-        return out
+            np.take(table[:, j], modes[:, j], axis=0, out=rows if j else out, mode="clip")
+            if j:
+                out *= rows
+        return out.T
 
     sup = None
     if factor.sup_norms is not None:
@@ -515,8 +566,8 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
         null_id = "uniform-cube-%d" % d
     elif null_id:
         null_id = "%s^%d" % (null_id, d)
-    return SpectralBasis(
-        lam, feature_fn,
+    return _PrefixBasis(
+        lam, prefix_fn,
         null_id=null_id,
         degenerate=True,
         decay_exponent=decay,
@@ -598,13 +649,8 @@ def cosine_basis(K: int, *, with_tail: bool = True) -> SpectralBasis:
     """Reference basis under Uniform[0,1]: lambda_k = (k pi)^-2, sqrt(2) cos(k pi x)."""
     k = np.arange(1, K + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
-
-    def feature_fn(X):
-        x = as_points(X)[:, 0]
-        return math.sqrt(2.0) * np.cos(np.outer(x, k) * math.pi)
-
-    return SpectralBasis(
-        lam, feature_fn,
+    return _PrefixBasis(
+        lam, lambda X, m: cosine_features(X[:, 0], m).T,
         null_id="uniform-cube-1",
         degenerate=True,
         decay_exponent=1.0,
@@ -629,6 +675,7 @@ def save_spectrum(basis: SpectralBasis, path) -> None:
         header = {
             "basis_type": "nystrom",
             "kernel_id": basis.meta.get("kernel_id", ""),
+            "center": basis.center,
             "null_id": basis.null_id,
             "K": basis.truncation,
             "nodes": basis.quad.size,
@@ -664,7 +711,11 @@ def save_spectrum(basis: SpectralBasis, path) -> None:
 
 
 def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
-    """Load a basis saved by :func:`save_spectrum`."""
+    """Load a basis saved by :func:`save_spectrum`.
+
+    A Nystrom file whose header has no "center" entry (written before the
+    header recorded centering) loads with the uncentered kernel.
+    """
     import json
 
     from . import kernels as _kernels
@@ -699,6 +750,7 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
             kernel = registry(header["kernel_id"])
             return NystromBasis(
                 lam, kernel, Quadrature(nodes, weights), phi_nodes,
+                center=header.get("center", False),
                 null_id=header["null_id"],
                 degenerate=header["degenerate"],
                 decay_exponent=header["decay_exponent"],

@@ -1,4 +1,7 @@
 """Tests for the replication harness."""
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from gofkit import dists
 from gofkit.bench import (
     CSV_HEADER,
     ExperimentPlan,
+    PowerRow,
     PowerTable,
     boundary_probe,
     emit,
@@ -13,6 +17,18 @@ from gofkit.bench import (
     run_plan,
 )
 from gofkit.spectrum import cosine_basis
+
+
+def from_csv_text(text: str) -> PowerTable:
+    """Parse the CSV that ``PowerTable.to_csv_text`` writes."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != CSV_HEADER:
+        raise ValueError("unexpected power-table CSV header")
+    return PowerTable([PowerRow(test=t, n=int(n), dim=int(d), alternative=a,
+                                replicate=int(rep), reject=bool(int(rej)),
+                                statistic=float(s), threshold=float(thr), seed=int(sd))
+                       for t, n, d, a, rep, rej, s, thr, sd in reader])
 
 
 def _null_spec(d=1):
@@ -84,20 +100,20 @@ def test_csv_roundtrip():
     table = run_plan(_small_plan(reps=5))
     text = table.to_csv_text()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    back = PowerTable.from_csv_text(text)
+    back = from_csv_text(text)
     assert back == table
 
 
 def test_csv_rejects_foreign_header():
     with pytest.raises(ValueError, match="header"):
-        PowerTable.from_csv_text("a,b,c\n1,2,3\n")
+        from_csv_text("a,b,c\n1,2,3\n")
 
 
 def test_emit_writes_files(tmp_path):
     table = run_plan(_small_plan(reps=5))
     paths = emit(table, str(tmp_path / "out"))
     csv_text = open(paths["csv"]).read()
-    assert PowerTable.from_csv_text(csv_text) == table
+    assert from_csv_text(csv_text) == table
     agg = open(paths["aggregate"]).read().splitlines()
     assert agg[0].startswith("test,n,alternative")
     script = open(paths["plot_script"]).read()

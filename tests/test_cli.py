@@ -320,6 +320,55 @@ def test_cache_key_is_built_from_the_spec_format():
             == "14130262cff635e0fa69e370.spec")
 
 
+def _drop_header_key(path, key):
+    """Rewrite a spectrum file as one written before its header had ``key``."""
+    import struct
+
+    from gofkit.spectrum import _MAGIC
+    data = path.read_bytes()
+    hlen = struct.unpack("<I", data[len(_MAGIC):len(_MAGIC) + 4])[0]
+    start = len(_MAGIC) + 4
+    header = json.loads(data[start:start + hlen])
+    del header[key]
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:len(_MAGIC)] + struct.pack("<I", len(raw)) + raw
+                     + data[start + hlen:])
+
+
+@pytest.mark.filterwarnings("ignore:super-polynomial decay")
+def test_centered_gaussian_spectrum_reloads_centered(tmp_path, cache_dir, capsys):
+    from gofkit.spectrum import load_spectrum
+    out = tmp_path / "g.spec"
+    args = ["decompose", "--kernel", "gaussian:0.1", "--null", "uniform-cube-1",
+            "--trunc", "16", "--nodes", "256", "--center", "--quiet"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    basis = load_spectrum(out)
+    assert basis.center
+    assert np.abs(basis.features(basis.quad.nodes) - basis.phi_nodes).max() < 1e-9
+    data = tmp_path / "u.csv"
+    np.savetxt(data, np.random.default_rng(3).random((1000, 1)), delimiter=",")
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(out),
+                     "--data", str(data), "--quiet"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["statistic"]) < 5.0
+
+    # an entry cached before the header recorded centering is recomputed for
+    # --center, and still served to the same request without --center
+    entry = cache_dir / cli._cache_key("gaussian:0.1", "uniform-cube-1", 16, 256, True)
+    _drop_header_key(entry, "center")
+    assert not load_spectrum(entry).center
+    args.remove("--quiet")
+    assert cli.main(args + ["--out", str(tmp_path / "again.spec")]) == 0
+    assert "cache stored" in capsys.readouterr().out
+    assert load_spectrum(tmp_path / "again.spec").center
+    plain = args[:-1] + ["--out", str(tmp_path / "plain.spec")]
+    assert cli.main(plain) == 0
+    _drop_header_key(cache_dir / cli._cache_key("gaussian:0.1", "uniform-cube-1", 16,
+                                                256, False), "center")
+    assert cli.main(plain) == 0
+    assert "cache hit" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode", ["mc", "mc:500"])
 def test_m3d_rejects_monte_carlo_calibration(centered_file, data_file, capsys, mode):
     assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),

@@ -18,8 +18,8 @@ from gofkit.spectrum import (
     Quadrature,
     SpectralBasis,
     SphereZonalBasis,
+    _SUMMARY_BLOCK,
     _ZONAL_BLOCK,
-    center_kernel,
     cosine_basis,
     effective_variance,
     estimate_decay_exponent,
@@ -36,7 +36,9 @@ from gofkit.spectrum import (
     truncation_variance_bound,
 )
 from gofkit.kernels import (
+    as_points,
     constant_kernel,
+    cosine_features,
     cosine_reference_kernel,
     gaussian_kernel,
     gaussian_sphere_profile,
@@ -123,6 +125,22 @@ def test_nystrom_sign_deterministic():
 
 # ---------------------------------------------------------------------------
 # centering
+
+
+def center_kernel(kernel, quad):
+    """Reference centering, K(x,y) - E K(x,.) - E K(.,y) + E E K under
+    ``quad``, with two kernel calls per evaluation."""
+    nodes, w = quad.nodes, quad.weights
+    grand = float(w @ np.asarray(kernel(nodes, nodes), dtype=float) @ w)
+
+    def row_mean(X):
+        return np.asarray(kernel(as_points(X), nodes), dtype=float) @ w
+
+    def centered(X, Y):
+        base = np.asarray(kernel(as_points(X), as_points(Y)), dtype=float)
+        return base - row_mean(X)[:, None] - row_mean(Y)[None, :] + grand
+
+    return centered
 
 
 def test_center_constant_kernel_is_zero():
@@ -636,3 +654,164 @@ def test_zonal_profile_ids():
     for bad in ("gaussian:0.5", "linear", "cosine-ref"):
         with pytest.raises(ValueError, match="zonal kernel"):
             zonal_profile(bad)
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction layer: cosine recurrence, prefixes, row-block summaries
+
+
+def _np_cos(x, K):
+    """sqrt(2) cos(k pi x), k = 1..K, one np.cos per cell: an (n, K) array."""
+    return math.sqrt(2.0) * np.cos(np.outer(x, np.arange(1, K + 1)) * math.pi)
+
+
+def _np_cos_kernel(n_terms):
+    lam = 1.0 / (np.arange(1, n_terms + 1) * math.pi) ** 2
+    return lambda X, Y: (_np_cos(as_points(X)[:, 0], n_terms) * lam) @ _np_cos(
+        as_points(Y)[:, 0], n_terms).T
+
+
+def _nystrom_reference(basis, kernel):
+    """Features of a Nystrom basis from the textbook extension with ``kernel``."""
+    coef = basis.quad.weights[:, None] * basis.phi_nodes / basis.eigenvalues
+    return lambda X: kernel(X, basis.quad.nodes) @ coef
+
+
+def _tensor_reference(factor_K, idx):
+    def features(X):
+        out = np.ones((X.shape[0], idx.shape[0]))
+        for j in range(idx.shape[1]):
+            cols = np.hstack([np.ones((X.shape[0], 1)), _np_cos(X[:, j], factor_K)])
+            out *= cols[:, idx[:, j]]
+        return out
+    return features
+
+
+def _layer_cases():
+    """(basis, d, reference feature map) for each explicit-feature basis kind."""
+    quad = gauss_legendre_01(96)
+    cos = cosine_basis(48)
+    tensor = tensor_product_basis(cosine_basis(12), 3, 40)
+    nys = nystrom_decompose(cosine_reference_kernel(60), quad, 10, null_id="uniform-cube-1")
+    centered = nystrom_decompose(gaussian_kernel(0.2), quad, 8, null_id="uniform-cube-1",
+                                 center=True)
+    return {
+        "cosine": (cos, 1, lambda X: _np_cos(X[:, 0], 48)),
+        "tensor": (tensor, 3, _tensor_reference(12, tensor.meta["tensor_indices"])),
+        "nystrom": (nys, 1, _nystrom_reference(nys, _np_cos_kernel(60))),
+        "centered-nystrom": (centered, 1, _nystrom_reference(
+            centered, center_kernel(gaussian_kernel(0.2), quad))),
+    }
+
+
+_LAYER = _layer_cases()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_LAYER)),
+       st.sampled_from([1, _SUMMARY_BLOCK - 1, _SUMMARY_BLOCK, _SUMMARY_BLOCK + 1,
+                        2 * _SUMMARY_BLOCK + 3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_summary_matches_a_direct_cosine_reference(kind, n, seed):
+    basis, d, reference = _LAYER[kind]
+    # squared uniforms: a sample off the null, so the means are far from 0
+    X = np.random.default_rng(seed).random((n, d)) ** 2
+    s = basis.summary(X)
+    ref = reference(X)
+    assert s.n == n
+    # relative to each vector's largest entry: a mean near 0 at n = 1 would
+    # turn a 1e-13 feature error into a large elementwise relative error
+    for got, want in [(s.mean_sq, ref.mean(axis=0) ** 2),
+                      (s.diag_mean, (ref * ref).mean(axis=0))]:
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYER) + ["one-argument"])
+def test_head_is_the_feature_prefix(kind):
+    if kind == "one-argument":
+        basis, d = SpectralBasis(np.array([0.5, 0.25, 0.125]),
+                                 lambda X: np.hstack([X, X ** 2, X ** 3])), 1
+    else:
+        basis, d = _LAYER[kind][:2]
+    K = basis.truncation
+    for n in (0, 3, 200):
+        X = np.random.default_rng(n).random((n, d))
+        full = basis.features(X)
+        for m in sorted({0, 1, 2, K // 2, K - 1, K}):
+            got = basis.head(X, m)
+            assert got.shape == (n, m)
+            # a prefix may take the other branch of the cosine evaluator
+            assert np.allclose(got, full[:, :m], rtol=0, atol=1e-12)
+    for m in (-1, K + 1):
+        with pytest.raises(ValueError, match="head needs"):
+            basis.head(X, m)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 64, 512])
+def test_cosine_recurrence_matches_np_cos(K):
+    rng = np.random.default_rng(K)
+    ends = np.geomspace(1e-12, 0.05, 400)
+    x = np.concatenate([[0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5], ends, 1.0 - ends,
+                        rng.random(600)])
+    assert x.size >= K  # the recurrence branch
+    got = cosine_features(x, K)
+    assert got.shape == (K, x.size)
+    assert np.abs(got - _np_cos(x, K).T).max() < 2e-11
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), st.integers(1, 512))
+def test_cosine_recurrence_matches_np_cos_anywhere_in_the_cube(points, K):
+    x = np.resize(np.asarray(points), max(K, len(points)))
+    assert np.abs(cosine_features(x, K) - _np_cos(x, K).T).max() < 2e-11
+
+
+def test_cosine_features_at_fewer_points_than_degrees_is_np_cos():
+    x = np.array([0.1, 0.7])
+    assert np.array_equal(cosine_features(x, 5), _np_cos(x, 5).T)
+    assert cosine_features(np.empty(0), 3).shape == (3, 0)
+    assert cosine_features(x, 0).shape == (0, 2)
+
+
+def _summary_peak(basis, n, d):
+    X = np.random.default_rng(n).random((n, d))
+    tracemalloc.start()
+    try:
+        basis.summary(X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore:super-polynomial decay")
+@pytest.mark.parametrize("kind", ["cosine", "tensor", "nystrom"])
+def test_summary_memory_does_not_grow_with_n(kind):
+    quad = gauss_legendre_01(128)
+    basis, d = {
+        "cosine": (cosine_basis(128), 1),
+        "tensor": (tensor_product_basis(cosine_basis(32), 5, 256), 5),
+        "nystrom": (nystrom_decompose(gaussian_kernel(0.2), quad, 16,
+                                      null_id="uniform-cube-1", center=True), 1),
+    }[kind]
+    small, large = _summary_peak(basis, 10 ** 4, d), _summary_peak(basis, 10 ** 5, d)
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_centered_nystrom_features_need_one_kernel_call():
+    quad = gauss_legendre_01(128)
+    calls = []
+
+    def kernel(X, Y):
+        calls.append(1)
+        return gaussian_kernel(0.1)(X, Y)
+
+    basis = nystrom_decompose(kernel, quad, 12, center=True)
+    two_calls = nystrom_decompose(center_kernel(gaussian_kernel(0.1), quad), quad, 12)
+    assert np.array_equal(basis.phi_nodes, two_calls.phi_nodes)
+    x = np.linspace(0.0, 1.0, 301)
+    del calls[:]
+    got = basis.features(x)
+    assert len(calls) == 1
+    assert np.allclose(got, two_calls.features(x), rtol=0, atol=1e-10)
+    # degenerate: every eigenfunction has mean 0 under the quadrature
+    assert np.abs(quad.weights @ basis.features(quad.nodes)).max() < 1e-10

@@ -3,7 +3,8 @@
 A kernel id is either a bare name ("cosine-ref", "linear", "constant") or a
 name with parameters separated by colons ("gaussian:0.1").  All kernels are
 vectorized: ``kernel(X, Y)`` returns the (len(X), len(Y)) matrix, where a
-1-D input is a column of 1-D points.
+1-D input is a column of 1-D points.  The finite-rank ones also carry their
+expansion (see :func:`expansion_kernel`).
 """
 from __future__ import annotations
 
@@ -45,17 +46,30 @@ def cosine_features(x, K: int) -> np.ndarray:
     return out
 
 
-def cosine_reference_kernel(n_terms: int = 200):
-    """K(x,y) = sum_{k<=n_terms} 2 cos(k pi x) cos(k pi y) / (k pi)^2 on [0,1]."""
-    k = np.arange(1, n_terms + 1, dtype=float)
-    lam = 1.0 / (k * math.pi) ** 2
+def expansion_kernel(features, weights):
+    """K(x,y) = sum_t w_t f_t(x) f_t(y), from ``features(X) -> (terms, len(X))``.
+
+    The kernel carries ``kernel.expansion = (features, weights)``, so code
+    that only needs K(X, Y) @ M for a fixed Y can form f(X)' (w f(Y) M)
+    without the (len(X), len(Y)) matrix.  ``weights`` is a 1-D array over
+    the terms, or of length 1 for equal weights.
+    """
+    weights = np.atleast_1d(np.asarray(weights, dtype=float))
 
     def kernel(X, Y):
-        fx = cosine_features(as_points(X)[:, 0], n_terms)
-        fy = cosine_features(as_points(Y)[:, 0], n_terms)
-        return (fx * lam[:, None]).T @ fy
+        return (features(X) * weights[:, None]).T @ features(Y)
 
+    kernel.expansion = (features, weights)
     return kernel
+
+
+def cosine_reference_kernel(n_terms: int = 200):
+    """K(x,y) = sum_{k<=n_terms} 2 cos(k pi x) cos(k pi y) / (k pi)^2 on [0,1]."""
+    if n_terms < 1:
+        raise ValueError("cosine-ref needs at least one term, got %d" % n_terms)
+    k = np.arange(1, n_terms + 1, dtype=float)
+    return expansion_kernel(lambda X: cosine_features(as_points(X)[:, 0], n_terms),
+                            1.0 / (k * math.pi) ** 2)
 
 
 def gaussian_kernel(bandwidth: float):
@@ -75,12 +89,9 @@ def gaussian_kernel(bandwidth: float):
     return kernel
 
 
-def linear_kernel(X, Y):
-    return as_points(X) @ as_points(Y).T
-
-
-def constant_kernel(X, Y):
-    return np.ones((as_points(X).shape[0], as_points(Y).shape[0]))
+# x'y and 1: one expansion each, the coordinates and a row of ones
+linear_kernel = expansion_kernel(lambda X: as_points(X).T, 1.0)
+constant_kernel = expansion_kernel(lambda X: np.ones((1, as_points(X).shape[0])), 1.0)
 
 
 def gaussian_sphere_profile(sigma2: float):

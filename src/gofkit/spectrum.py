@@ -215,6 +215,12 @@ class NystromBasis(_PrefixBasis):
     With ``center=True`` the eigenfunctions are those of the centered kernel
     K(x,y) - r(x) - r(y) + g, with r(x) = sum_i w_i K(x, x_i) and
     g = sum_i w_i r(x_i); ``kernel`` itself stays uncentered.
+
+    The features are K(x, nodes) @ coef, a fixed (nodes x K) matrix.  A
+    kernel with a finite ``expansion`` (see ``kernels.expansion_kernel``)
+    folds its node side into coef once, so a point costs O(terms K) and no
+    kernel call; any other kernel costs O(nodes K) plus one kernel row
+    K(x, nodes) per point.
     """
 
     def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, *,
@@ -235,8 +241,16 @@ class NystromBasis(_PrefixBasis):
             offset = float(w @ r) * s - r @ coef
             coef = coef - np.outer(w, s)
 
-        super().__init__(
-            lam, lambda X, m: kernel(X, quad.nodes) @ coef[:, :m] + offset[:m], **kw)
+        # features(X) = left(X) @ right + offset, where K(X, nodes) =
+        # f(X)' (w f(nodes)) for a kernel with an expansion
+        expansion = getattr(kernel, "expansion", None)
+        if expansion is None:
+            left, right = (lambda X: kernel(X, quad.nodes)), coef
+        else:
+            terms, weights = expansion
+            left = lambda X: terms(X).T
+            right = (weights[:, None] * terms(quad.nodes)) @ coef
+        super().__init__(lam, lambda X, m: left(X) @ right[:, :m] + offset[:m], **kw)
 
 
 class SphereZonalBasis(SpectralBasis):

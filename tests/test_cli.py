@@ -80,6 +80,14 @@ def test_decompose_unknown_kernel_exits_1(tmp_path, cache_dir, capsys):
     assert "kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel", ["cosine-ref:0", "cosine-ref:-3"])
+def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, cache_dir, capsys, kernel):
+    assert cli.main(["decompose", "--kernel", kernel, "--null", "uniform-cube-1",
+                     "--trunc", "4", "--nodes", "64",
+                     "--out", str(tmp_path / "x.spec")]) == 1
+    assert "cosine-ref needs at least one term" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("null, message", [
     ("uniform-sphere-x", "unknown null id"),
     ("uniform-cube-3", "unsupported null id for decompose"),

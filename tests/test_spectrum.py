@@ -1,4 +1,5 @@
 """Tests for the spectral decomposition machinery."""
+import functools
 import math
 
 import tracemalloc
@@ -43,6 +44,7 @@ from gofkit.kernels import (
     gaussian_kernel,
     gaussian_sphere_profile,
     linear_kernel,
+    resolve_kernel,
     zonal_profile,
 )
 
@@ -646,6 +648,43 @@ def test_kernels_read_1d_input_as_a_column_of_points(kernel):
     assert kernel(0.1, y).shape == (1, 3)
 
 
+def test_cosine_reference_kernel_needs_a_term():
+    for n_terms in (0, -3):
+        with pytest.raises(ValueError, match="at least one term"):
+            cosine_reference_kernel(n_terms)
+
+
+# named finite-rank kernels in closed form, independent of their expansions
+_CLOSED_FORM = {
+    "cosine-ref": lambda X, Y: _np_cos_kernel(200)(X, Y),
+    "cosine-ref:1": lambda X, Y: _np_cos_kernel(1)(X, Y),
+    "cosine-ref:7": lambda X, Y: _np_cos_kernel(7)(X, Y),
+    "linear": lambda X, Y: as_points(X) @ as_points(Y).T,
+    "constant": lambda X, Y: np.ones((as_points(X).shape[0], as_points(Y).shape[0])),
+}
+
+
+@pytest.mark.parametrize("kernel_id", sorted(_CLOSED_FORM) + ["gaussian:0.3"])
+def test_resolved_kernel_expansions_reproduce_the_kernel(kernel_id):
+    kernel = resolve_kernel(kernel_id)
+    expansion = getattr(kernel, "expansion", None)
+    assert (expansion is None) == (kernel_id not in _CLOSED_FORM)
+    rng = np.random.default_rng(len(kernel_id))
+    X, Y = rng.random((9, 1)), rng.random((300, 1))
+    got = kernel(X, Y)
+    if expansion is not None:
+        terms, weights = expansion
+        fx, fy = terms(X), terms(Y)
+        # term by term, as the sum that defines the kernel
+        total = sum(w * np.outer(a, b) for w, a, b in
+                    zip(np.broadcast_to(weights, fx.shape[:1]), fx, fy))
+        assert np.abs(got - total).max() <= 1e-12 * max(np.abs(total).max(), 1.0)
+        assert np.abs(got - _CLOSED_FORM[kernel_id](X, Y)).max() <= 1e-12
+    if kernel_id == "linear":
+        X3 = rng.random((4, 3))
+        assert np.allclose(kernel(X3, X3), X3 @ X3.T, rtol=0, atol=1e-15)
+
+
 def test_zonal_profile_ids():
     t = np.linspace(-1.0, 1.0, 7)
     assert np.array_equal(zonal_profile("gaussian-sphere:0.5")(t),
@@ -784,17 +823,87 @@ def _summary_peak(basis, n, d):
 
 
 @pytest.mark.filterwarnings("ignore:super-polynomial decay")
-@pytest.mark.parametrize("kind", ["cosine", "tensor", "nystrom"])
+@pytest.mark.parametrize("kind", ["cosine", "tensor", "nystrom", "cosine-ref-nystrom"])
 def test_summary_memory_does_not_grow_with_n(kind):
     quad = gauss_legendre_01(128)
     basis, d = {
-        "cosine": (cosine_basis(128), 1),
-        "tensor": (tensor_product_basis(cosine_basis(32), 5, 256), 5),
-        "nystrom": (nystrom_decompose(gaussian_kernel(0.2), quad, 16,
-                                      null_id="uniform-cube-1", center=True), 1),
+        "cosine": (lambda: cosine_basis(128), 1),
+        "tensor": (lambda: tensor_product_basis(cosine_basis(32), 5, 256), 5),
+        "nystrom": (lambda: nystrom_decompose(gaussian_kernel(0.2), quad, 16,
+                                              null_id="uniform-cube-1", center=True), 1),
+        # the spectrum of the decide-cube benchmark: K = 64 on 512 nodes
+        "cosine-ref-nystrom": (lambda: nystrom_decompose(
+            cosine_reference_kernel(), gauss_legendre_01(512), 64,
+            null_id="uniform-cube-1", center=True), 1),
     }[kind]
+    basis = basis()
     small, large = _summary_peak(basis, 10 ** 4, d), _summary_peak(basis, 10 ** 5, d)
     assert large <= 1.1 * small, (small, large)
+
+
+# (kernel id, K, center): the centered constant kernel is zero, so it has no
+# basis to compare
+_FACTORED_CASES = [(kid, K, center) for kid, K in
+                   [("cosine-ref:1", 1), ("cosine-ref:7", 5), ("cosine-ref", 16),
+                    ("linear", 1)] for center in (False, True)] + [("constant", 1, False)]
+
+
+def _factored_and_generic(kernel_id, K, center):
+    """A Nystrom basis on ``kernel_id`` and one on the same kernel behind a
+    plain lambda, which hides its expansion."""
+    quad = gauss_legendre_01(64)
+    kernel = resolve_kernel(kernel_id)
+    return tuple(nystrom_decompose(k, quad, K, null_id="uniform-cube-1", center=center)
+                 for k in (kernel, lambda X, Y: kernel(X, Y)))
+
+
+_FACTORED = {case: _factored_and_generic(*case) for case in _FACTORED_CASES}
+
+
+def _close_to(got, want):
+    """Within 1e-10 of the largest entry of ``want``."""
+    return np.abs(got - want).max(initial=0.0) <= 1e-10 * np.abs(want).max(initial=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FACTORED_CASES),
+       st.sampled_from([1, _SUMMARY_BLOCK - 1, _SUMMARY_BLOCK, _SUMMARY_BLOCK + 1]),
+       st.integers(0, 16), st.integers(0, 2 ** 32 - 1))
+def test_factored_nystrom_matches_the_kernel_matrix_path(case, n, m, seed):
+    factored, generic = _FACTORED[case]
+    assert hasattr(resolve_kernel(case[0]), "expansion")
+    assert np.array_equal(factored.phi_nodes, generic.phi_nodes)
+    m = min(m, factored.truncation)
+    X = np.random.default_rng(seed).random((n, 1)) ** 2
+    want = generic.features(X)
+    assert _close_to(factored.features(X), want)
+    assert _close_to(factored.head(X, m), want[:, :m])
+    got, ref = factored.summary(X), generic.summary(X)
+    assert got.n == ref.n == n
+    assert _close_to(got.mean_sq, ref.mean_sq)
+    assert _close_to(got.diag_mean, ref.diag_mean)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_factored_nystrom_makes_no_kernel_call_after_construction(center):
+    calls = []
+    kernel = cosine_reference_kernel()
+
+    @functools.wraps(kernel)
+    def spy(X, Y):
+        calls.append(1)
+        return kernel(X, Y)
+
+    assert spy.expansion is kernel.expansion
+    basis = nystrom_decompose(spy, gauss_legendre_01(512), 64,
+                              null_id="uniform-cube-1", center=center)
+    assert calls
+    del calls[:]
+    X = np.random.default_rng(3).random((2 * _SUMMARY_BLOCK + 1, 1))
+    basis.features(X)
+    basis.head(X, 10)
+    basis.summary(X)
+    assert calls == []
 
 
 def test_centered_nystrom_features_need_one_kernel_call():

@@ -639,7 +639,8 @@ def test_cache_rejects_wrong_magic(tmp_path):
 
 
 @pytest.mark.parametrize("kernel", [cosine_reference_kernel(), gaussian_kernel(0.5),
-                                    linear_kernel, constant_kernel])
+                                    linear_kernel, constant_kernel],
+                         ids=["kernel0", "kernel1", "linear_kernel", "constant_kernel"])
 def test_kernels_read_1d_input_as_a_column_of_points(kernel):
     x, y = np.array([0.1, 0.2]), np.array([0.3, 0.5, 0.9])
     got = kernel(x, y)

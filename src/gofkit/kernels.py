@@ -74,7 +74,7 @@ def cosine_reference_kernel(n_terms: int = 200):
 
 def gaussian_kernel(bandwidth: float):
     """K(x,y) = exp(-||x-y||^2 / (2 bw^2))."""
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
 
     def kernel(X, Y):
@@ -96,7 +96,7 @@ constant_kernel = expansion_kernel(lambda X: np.ones((1, as_points(X).shape[0]))
 
 def gaussian_sphere_profile(sigma2: float):
     """Zonal profile g(t) = exp(-2 (1 - t) / sigma2) of the Gaussian kernel on a sphere."""
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
 
     def profile(t):
@@ -105,12 +105,46 @@ def gaussian_sphere_profile(sigma2: float):
     return profile
 
 
+# what each kernel name takes after a colon: None for nothing, else how to
+# read it, what it must be, and its value when the colon is left out
+_ARGUMENTS = {
+    "cosine-ref": (int, "at least one term, given as an integer count", 200),
+    "gaussian": (float, "a finite positive bandwidth", None),
+    "gaussian-sphere": (float, "a finite positive sigma^2", None),
+    "linear": None,
+    "constant": None,
+}
+
+
+def parse_kernel_id(kernel_id: str):
+    """(name, argument) of a kernel id "name" or "name:arg", with the argument
+    read as ``_ARGUMENTS`` says; ValueError, naming the id, for an unknown
+    name or a bad argument."""
+    name, colon, arg = kernel_id.partition(":")
+    if name not in _ARGUMENTS:
+        raise ValueError("unknown kernel id: %r" % kernel_id)
+    if _ARGUMENTS[name] is None:
+        if colon:
+            raise ValueError("kernel id %r: %s takes no argument" % (kernel_id, name))
+        return name, None
+    read, what, default = _ARGUMENTS[name]
+    if not colon and default is not None:
+        return name, default
+    try:
+        value = read(arg)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError("kernel id %r: %s needs %s" % (kernel_id, name, what))
+    return name, value
+
+
 def zonal_profile(kernel_id: str):
     """Look up the profile g(t) of a zonal kernel k(x, y) = g(<x, y>) on a
     sphere: "gaussian-sphere:S2" or "constant"; ValueError for other ids."""
-    name, _, arg = kernel_id.partition(":")
+    name, arg = parse_kernel_id(kernel_id)
     if name == "gaussian-sphere":
-        return gaussian_sphere_profile(float(arg))
+        return gaussian_sphere_profile(arg)
     if name == "constant":
         return lambda t: np.ones_like(np.asarray(t, float))
     raise ValueError("sphere nulls need a zonal kernel "
@@ -119,11 +153,11 @@ def zonal_profile(kernel_id: str):
 
 def resolve_kernel(kernel_id: str):
     """Look up a pointwise kernel by id; raises ValueError for unknown ids."""
-    name, _, arg = kernel_id.partition(":")
+    name, arg = parse_kernel_id(kernel_id)
     if name == "cosine-ref":
-        return cosine_reference_kernel(int(arg) if arg else 200)
+        return cosine_reference_kernel(arg)
     if name == "gaussian":
-        return gaussian_kernel(float(arg))
+        return gaussian_kernel(arg)
     if name == "linear":
         return linear_kernel
     if name == "constant":

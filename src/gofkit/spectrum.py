@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .kernels import as_points, cosine_features
+from .kernels import as_points, cosine_features, resolve_kernel
 
 
 class DecompositionError(RuntimeError):
@@ -73,7 +73,8 @@ class SpectralBasis:
     ``feature_fn(X) -> (n, K)`` evaluates the first K eigenfunctions at the
     rows of X; :meth:`head` evaluates a prefix of them.  Bases without an
     explicit feature map (spherical harmonics) override the
-    kernel-evaluation entry points instead.
+    kernel-evaluation entry points instead.  Without a ``decay_exponent``
+    the basis fits one to its own eigenvalues (NaN for K < 8).
     """
 
     # (X, m) -> the first m eigenfunctions alone; set by bases that can
@@ -87,7 +88,7 @@ class SpectralBasis:
         *,
         null_id: str = "",
         degenerate: bool = False,
-        decay_exponent: float = float("nan"),
+        decay_exponent: Optional[float] = None,
         sup_norms: Optional[np.ndarray] = None,
         tail: Optional[PowerLawTail] = None,
         meta: Optional[dict] = None,
@@ -95,7 +96,7 @@ class SpectralBasis:
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-D array")
-        if np.any(eigenvalues <= 0):
+        if not np.all(eigenvalues > 0):
             raise ValueError("eigenvalues must be positive")
         if np.any(np.diff(eigenvalues) > 1e-12 * eigenvalues[0]):
             raise ValueError("eigenvalues must be nonincreasing")
@@ -103,6 +104,12 @@ class SpectralBasis:
         self._feature_fn = feature_fn
         self.null_id = null_id
         self.degenerate = degenerate
+        if decay_exponent is None:
+            decay_exponent = float("nan")
+            if eigenvalues.size >= 8:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    decay_exponent = estimate_decay_exponent(eigenvalues)
         self.decay_exponent = decay_exponent
         self.sup_norms = None if sup_norms is None else np.asarray(sup_norms, float)
         self.tail = tail
@@ -214,43 +221,51 @@ class NystromBasis(_PrefixBasis):
 
     With ``center=True`` the eigenfunctions are those of the centered kernel
     K(x,y) - r(x) - r(y) + g, with r(x) = sum_i w_i K(x, x_i) and
-    g = sum_i w_i r(x_i); ``kernel`` itself stays uncentered.
+    g = sum_i w_i r(x_i); ``kernel`` itself stays uncentered.  The basis is
+    degenerate when every eigenfunction has mean 0 under the quadrature.
 
     The features are K(x, nodes) @ coef, a fixed (nodes x K) matrix.  A
     kernel with a finite ``expansion`` (see ``kernels.expansion_kernel``)
     folds its node side into coef once, so a point costs O(terms K) and no
     kernel call; any other kernel costs O(nodes K) plus one kernel row
-    K(x, nodes) per point.
+    K(x, nodes) per point.  The centering vector r goes through the same
+    product, so a centered basis on such a kernel is built without one.
     """
 
     def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, *,
-                 center: bool = False, **kw):
+                 center: bool = False, null_id: str = "", kernel_id: str = ""):
         self.quad = quad
         self.phi_nodes = np.asarray(phi_nodes, dtype=float)
         self.center = bool(center)
         lam = np.asarray(eigenvalues, dtype=float)
         w = quad.weights
+        # K(X, nodes) @ M = left(X) @ fold(M); a kernel with an expansion has
+        # K(X, nodes) = f(X)' (w f(nodes))
+        expansion = getattr(kernel, "expansion", None)
+        if expansion is None:
+            left, fold = (lambda X: kernel(X, quad.nodes)), (lambda M: M)
+        else:
+            terms, weights = expansion
+            node_side = weights[:, None] * terms(quad.nodes)
+            left, fold = (lambda X: terms(X).T), (lambda M: node_side @ M)
         # phi_k(x) = lam_k^{-1} sum_i w_i K(x, x_i) phi_k(x_i)
         coef = (w[:, None] * self.phi_nodes) / lam
         offset = np.zeros(lam.size)
         if self.center:
-            # the centered kernel in one kernel call per block of points:
+            # the centered kernel through the same product:
             # K(x, nodes) (coef - w s') + (g s - r(nodes)' coef), s = sum_i coef_i
-            r = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float) @ w
+            r = left(quad.nodes) @ fold(w)
             s = coef.sum(axis=0)
             offset = float(w @ r) * s - r @ coef
             coef = coef - np.outer(w, s)
-
-        # features(X) = left(X) @ right + offset, where K(X, nodes) =
-        # f(X)' (w f(nodes)) for a kernel with an expansion
-        expansion = getattr(kernel, "expansion", None)
-        if expansion is None:
-            left, right = (lambda X: kernel(X, quad.nodes)), coef
-        else:
-            terms, weights = expansion
-            left = lambda X: terms(X).T
-            right = (weights[:, None] * terms(quad.nodes)) @ coef
-        super().__init__(lam, lambda X, m: left(X) @ right[:, :m] + offset[:m], **kw)
+        right = fold(coef)
+        super().__init__(
+            lam, lambda X, m: left(X) @ right[:, :m] + offset[:m],
+            null_id=null_id,
+            degenerate=bool(np.all(np.abs(w @ self.phi_nodes) <= 1e-6)),
+            sup_norms=np.abs(self.phi_nodes).max(axis=0),
+            meta={"kernel_id": kernel_id},
+        )
 
 
 class SphereZonalBasis(SpectralBasis):
@@ -261,7 +276,8 @@ class SphereZonalBasis(SpectralBasis):
     in R^d (the null id defaults to uniform-sphere-d).  :meth:`summary`
     costs O(n^2 degree_max) time and O(block n) memory: it walks the Gram
     matrix in blocks of rows and steps one Gegenbauer recurrence through
-    every degree up to ``max(degrees)``.
+    every degree up to ``max(degrees)``.  The basis is degenerate when
+    degree 0, the constant, is not kept.
     """
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
@@ -281,7 +297,7 @@ class SphereZonalBasis(SpectralBasis):
             ([0], np.cumsum(self.multiplicities.astype(int))[:-1])
         )
         kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
-        super().__init__(expanded, None, **kw)
+        super().__init__(expanded, None, degenerate=0 not in self.degrees, **kw)
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         weights = np.asarray(self.eigenvalues if weights is None else weights, dtype=float)
@@ -395,6 +411,9 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     if K < 1 or K > quad.size:
         raise ValueError("K must satisfy 1 <= K <= node count")
     G = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float)
+    if not np.all(np.isfinite(G)):
+        raise ValueError("kernel %r has a non-finite Gram matrix on the quadrature "
+                         "nodes" % kernel_id)
     if center:
         r = G @ quad.weights
         G = G - r[:, None] - r[None, :] + float(quad.weights @ G @ quad.weights)
@@ -423,19 +442,8 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     score = (quad.weights * ref) @ phi_nodes
     sign = np.where(np.abs(score) > 1e-12, np.sign(score), np.sign(phi_nodes[0]))
     sign = np.where(sign == 0, 1.0, sign)
-    phi_nodes = phi_nodes * sign
-    means = quad.weights @ phi_nodes
-    decay = estimate_decay_exponent(lam) if K >= 8 else float("nan")
-    basis = NystromBasis(
-        lam, kernel, quad, phi_nodes,
-        center=center,
-        null_id=null_id,
-        degenerate=bool(np.all(np.abs(means) <= 1e-6)),
-        decay_exponent=decay,
-        sup_norms=np.abs(phi_nodes).max(axis=0),
-        meta={"kernel_id": kernel_id, "nodes": quad.size},
-    )
-    return basis
+    return NystromBasis(lam, kernel, quad, phi_nodes * sign, center=center,
+                        null_id=null_id, kernel_id=kernel_id)
 
 
 def moderated_eval(ms: ModeratedSpectrum, x, y) -> float:
@@ -569,12 +577,6 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
     if factor.sup_norms is not None:
         per_mode = np.concatenate(([1.0], factor.sup_norms))
         sup = np.prod(per_mode[idx], axis=1)
-    if lam.size >= 8:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            decay = estimate_decay_exponent(lam)
-    else:
-        decay = float("nan")
     null_id = factor.null_id
     if null_id == "uniform-cube-1":
         null_id = "uniform-cube-%d" % d
@@ -584,9 +586,8 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
         lam, prefix_fn,
         null_id=null_id,
         degenerate=True,
-        decay_exponent=decay,
         sup_norms=sup,
-        meta={"tensor_indices": idx, "factor_truncation": factor.truncation},
+        meta={"tensor_indices": idx},
     )
 
 
@@ -630,18 +631,7 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
         keep[0] = False
     if not np.any(keep):
         raise DecompositionError("no positive eigenvalues retained")
-    basis = SphereZonalBasis(
-        lam[keep], degrees[keep], d,
-        null_id="uniform-sphere-%d" % d,
-        degenerate=not include_degree_zero,
-        meta={"degree_max": degree_max, "dropped_degree_zero_eigenvalue": float(lam[0])},
-    )
-    expanded = basis.eigenvalues
-    if expanded.size >= 8:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            basis.decay_exponent = estimate_decay_exponent(expanded)
-    return basis
+    return SphereZonalBasis(lam[keep], degrees[keep], d)
 
 
 def _funk_hecke(profile, d, degree_max, q):
@@ -724,17 +714,16 @@ def save_spectrum(basis: SpectralBasis, path) -> None:
             fh.write(a.tobytes())
 
 
-def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
+def load_spectrum(path) -> SpectralBasis:
     """Load a basis saved by :func:`save_spectrum`.
 
-    A Nystrom file whose header has no "center" entry (written before the
+    The basis derives its decay exponent and degeneracy from the stored
+    eigenpairs; the header's copies are written for older readers only.  A
+    Nystrom file whose header has no "center" entry (written before the
     header recorded centering) loads with the uncentered kernel.
     """
     import json
 
-    from . import kernels as _kernels
-
-    registry = kernel_registry or _kernels.resolve_kernel
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -761,24 +750,13 @@ def load_spectrum(path, kernel_registry=None) -> SpectralBasis:
             nodes = read_array()
             weights = read_array()
             phi_nodes = read_array()
-            kernel = registry(header["kernel_id"])
             return NystromBasis(
-                lam, kernel, Quadrature(nodes, weights), phi_nodes,
-                center=header.get("center", False),
-                null_id=header["null_id"],
-                degenerate=header["degenerate"],
-                decay_exponent=header["decay_exponent"],
-                sup_norms=np.abs(phi_nodes).max(axis=0),
-                meta={"kernel_id": header["kernel_id"], "nodes": header["nodes"]},
-            )
+                lam, resolve_kernel(header["kernel_id"]), Quadrature(nodes, weights),
+                phi_nodes, center=header.get("center", False),
+                null_id=header["null_id"], kernel_id=header["kernel_id"])
         if header["basis_type"] == "zonal":
             lam = read_array()
             degrees = read_array().astype(int)
-            return SphereZonalBasis(
-                lam, degrees, header["d"],
-                null_id=header["null_id"],
-                degenerate=header["degenerate"],
-                decay_exponent=header["decay_exponent"],
-                meta={"kernel_id": header["kernel_id"]},
-            )
+            return SphereZonalBasis(lam, degrees, header["d"], null_id=header["null_id"],
+                                    meta={"kernel_id": header["kernel_id"]})
     raise ValueError("unknown basis type in spectrum cache")

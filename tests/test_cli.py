@@ -88,6 +88,34 @@ def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, cache_dir, capsys,
     assert "cosine-ref needs at least one term" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel, null", [
+    ("gaussian:nan", "uniform-cube-1"),
+    ("gaussian:inf", "uniform-cube-1"),
+    ("gaussian-sphere:nan", "uniform-sphere-3"),
+    ("linear:3", "uniform-cube-1"),
+    ("constant:1", "uniform-cube-1"),
+    ("cosine-ref:abc", "uniform-cube-1"),
+    ("cosine-ref:2.5", "uniform-cube-1"),
+])
+def test_decompose_rejects_a_malformed_kernel_id(tmp_path, cache_dir, capsys, kernel, null):
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", kernel, "--null", null, "--trunc", "4",
+                     "--nodes", "64", "--out", str(out)]) == 1
+    assert "kernel id %r" % kernel in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decompose_refuses_a_non_finite_gram(tmp_path, cache_dir, capsys):
+    # the bandwidth squared underflows to 0, so the diagonal is 0/0
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian:1e-200", "--null",
+                     "uniform-cube-1", "--trunc", "4", "--nodes", "64",
+                     "--out", str(out)]) == 1
+    assert "'gaussian:1e-200' has a non-finite Gram matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("null, message", [
     ("uniform-sphere-x", "unknown null id"),
     ("uniform-cube-3", "unsupported null id for decompose"),
@@ -328,8 +356,8 @@ def test_cache_key_is_built_from_the_spec_format():
             == "14130262cff635e0fa69e370.spec")
 
 
-def _drop_header_key(path, key):
-    """Rewrite a spectrum file as one written before its header had ``key``."""
+def _edit_header(path, edit):
+    """Rewrite the header of a spectrum file as ``edit(header)`` leaves it."""
     import struct
 
     from gofkit.spectrum import _MAGIC
@@ -337,10 +365,41 @@ def _drop_header_key(path, key):
     hlen = struct.unpack("<I", data[len(_MAGIC):len(_MAGIC) + 4])[0]
     start = len(_MAGIC) + 4
     header = json.loads(data[start:start + hlen])
-    del header[key]
+    edit(header)
     raw = json.dumps(header).encode()
     path.write_bytes(data[:len(_MAGIC)] + struct.pack("<I", len(raw)) + raw
                      + data[start + hlen:])
+
+
+def _drop_header_key(path, key):
+    """Rewrite a spectrum file as one written before its header had ``key``."""
+    _edit_header(path, lambda header: header.pop(key))
+
+
+def test_spectrum_header_cannot_overrule_the_eigenpairs(tmp_path, cache_dir, data_file,
+                                                        capsys):
+    from gofkit.embedding import rho_schedule
+    from gofkit.spectrum import load_spectrum
+    spec = tmp_path / "g.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian:0.2", "--null", "uniform-cube-1",
+                     "--trunc", "10", "--nodes", "128", "--out", str(spec),
+                     "--quiet"]) == 0
+    fitted = load_spectrum(spec).decay_exponent
+
+    def m3d_rho():
+        assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(spec),
+                         "--data", str(data_file), "--quiet"]) == 0
+        return json.loads(capsys.readouterr().out)["parameters"]["rho"]
+
+    rho = m3d_rho()
+    assert rho == rho_schedule(200, fitted, 0.0)
+    # an uncentered kernel leaves the basis nondegenerate, whatever the header says
+    _edit_header(spec, lambda header: header.update(degenerate=True, decay_exponent=5.0))
+    assert cli.main(["test", "--kind", "mmd", "--spectrum", str(spec),
+                     "--data", str(data_file), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "MMD requires a degenerate" in captured.err and captured.out == ""
+    assert m3d_rho() == rho != rho_schedule(200, 5.0, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:super-polynomial decay")

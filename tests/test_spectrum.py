@@ -1,8 +1,9 @@
 """Tests for the spectral decomposition machinery."""
+import dataclasses
 import functools
 import math
-
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from gofkit import cli
-
+from gofkit import cli, spectrum
+from gofkit.embedding import statistic
 from gofkit.spectrum import (
     DecompositionError,
     ModeratedSpectrum,
+    NystromBasis,
     PowerLawTail,
     Quadrature,
     SpectralBasis,
@@ -627,6 +629,79 @@ def test_cache_roundtrip_zonal(tmp_path):
     assert loaded.d == basis.d
 
 
+def _cacheable_bases():
+    quad = gauss_legendre_01(128)
+    return {
+        "nystrom": lambda: nystrom_decompose(gaussian_kernel(0.1), quad, 12,
+                                             null_id="uniform-cube-1", kernel_id="gaussian:0.1"),
+        "centered-nystrom": lambda: nystrom_decompose(
+            cosine_reference_kernel(), quad, 16, null_id="uniform-cube-1",
+            kernel_id="cosine-ref", center=True),
+        "zonal": lambda: sphere_zonal_spectrum(gaussian_sphere_profile(1.0), 3, 8),
+        "zonal-with-constant": lambda: sphere_zonal_spectrum(
+            zonal_profile("constant"), 3, 0, include_degree_zero=True),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_cacheable_bases()))
+def test_cache_roundtrip_derives_the_same_fields(tmp_path, kind):
+    basis = _cacheable_bases()[kind]()
+    path = tmp_path / "b.spec"
+    save_spectrum(basis, path)
+    loaded = load_spectrum(path)
+    assert loaded.degenerate == basis.degenerate == (kind not in ("nystrom",
+                                                                  "zonal-with-constant"))
+    assert np.array_equal(loaded.decay_exponent, basis.decay_exponent, equal_nan=True)
+    assert (loaded.truncation >= 8) == np.isfinite(loaded.decay_exponent)
+    if basis.sup_norms is None:
+        assert loaded.sup_norms is None
+    else:
+        assert np.array_equal(loaded.sup_norms, basis.sup_norms)
+
+
+def test_centered_expansion_basis_builds_and_loads_without_a_kernel_call(tmp_path,
+                                                                         monkeypatch):
+    calls = []
+    kernel = cosine_reference_kernel()
+
+    @functools.wraps(kernel)
+    def spy(X, Y):
+        calls.append(1)
+        return kernel(X, Y)
+
+    basis = nystrom_decompose(kernel, gauss_legendre_01(512), 64,
+                              null_id="uniform-cube-1", kernel_id="cosine-ref", center=True)
+    built = NystromBasis(basis.eigenvalues, spy, basis.quad, basis.phi_nodes, center=True,
+                         null_id=basis.null_id, kernel_id="cosine-ref")
+    path = tmp_path / "c.spec"
+    save_spectrum(basis, path)
+    monkeypatch.setattr(spectrum, "resolve_kernel", lambda kernel_id: spy)
+    loaded = load_spectrum(path)
+    X = np.random.default_rng(5).random((300, 1))
+    for other in (built, loaded):
+        assert other.degenerate and other.decay_exponent == basis.decay_exponent
+        assert _close_to(other.features(X), basis.features(X))
+    assert calls == []
+
+
+def test_basis_fits_its_own_decay_exponent():
+    lam = 1.0 / (np.arange(1, 41) * math.pi) ** 2
+    features = lambda X: cosine_features(X[:, 0], 40).T
+    assert SpectralBasis(lam, features).decay_exponent == estimate_decay_exponent(lam)
+    assert SpectralBasis(lam, features, decay_exponent=1.0).decay_exponent == 1.0
+    assert math.isnan(SpectralBasis(lam[:7], features).decay_exponent)
+    # super-polynomial decay is fitted without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SpectralBasis(np.exp(-np.arange(1.0, 21.0)), None).decay_exponent > 3.0
+
+
+@pytest.mark.parametrize("bad", [[0.5, np.nan], [np.nan], [0.5, 0.0], [0.5, -0.1]])
+def test_basis_rejects_eigenvalues_that_are_not_positive(bad):
+    with pytest.raises(ValueError, match="positive"):
+        SpectralBasis(np.array(bad), None)
+
+
 def test_cache_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.spec"
     path.write_bytes(b"not a spectrum file")
@@ -764,6 +839,59 @@ def test_summary_matches_a_direct_cosine_reference(kind, n, seed):
     for got, want in [(s.mean_sq, ref.mean(axis=0) ** 2),
                       (s.diag_mean, (ref * ref).mean(axis=0))]:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+_layer_cases_across_blocks = st.tuples(
+    st.sampled_from(sorted(_LAYER)),
+    st.sampled_from([1, 2, _SUMMARY_BLOCK - 1, _SUMMARY_BLOCK, _SUMMARY_BLOCK + 1]),
+    st.integers(0, 2 ** 32 - 1))
+
+
+def _layer_sample(kind, n, seed):
+    basis, d, _ = _LAYER[kind]
+    return basis, np.random.default_rng(seed).random((n, d)) ** 2
+
+
+def _summaries_close(got, want):
+    assert got.n == want.n
+    for a, b in [(got.mean_sq, want.mean_sq), (got.diag_mean, want.diag_mean)]:
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_layer_cases_across_blocks)
+def test_summary_permutation_invariant(case):
+    basis, X = _layer_sample(*case)
+    perm = np.random.default_rng(case[2] + 1).permutation(X.shape[0])
+    _summaries_close(basis.summary(X[perm]), basis.summary(X))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_layer_cases_across_blocks)
+def test_summary_duplication_invariant(case):
+    basis, X = _layer_sample(*case)
+    twice, once = basis.summary(np.vstack([X, X])), basis.summary(X)
+    assert twice.n == 2 * once.n
+    _summaries_close(dataclasses.replace(twice, n=once.n), once)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_layer_cases_across_blocks)
+def test_studentized_statistic_moderation_limits(case):
+    basis, X = _layer_sample(*case)
+    s, lam = basis.summary(X), basis.eigenvalues
+    # rho = 0 weighs every eigenvalue by 1
+    terms = s.n * s.mean_sq.sum(), s.diag_mean.sum()
+    want = (terms[0] - terms[1]) / math.sqrt(2.0 * basis.truncation)
+    got = statistic("m3d", basis, s, rho=0.0)
+    assert abs(got - want) <= 1e-12 * sum(terms) / math.sqrt(2.0 * basis.truncation)
+    # as rho grows, lambda / (lambda + rho^2) -> lambda / rho^2 in both the
+    # numerator and the standard deviation, and rho^2 cancels
+    terms = s.n * (lam * s.mean_sq).sum(), (lam * s.diag_mean).sum()
+    scale = math.sqrt(2.0 * (lam * lam).sum())
+    want = (terms[0] - terms[1]) / scale
+    got = statistic("m3d", basis, s, rho=1e6)
+    assert abs(got - want) <= 1e-9 * sum(terms) / scale
 
 
 @pytest.mark.parametrize("kind", sorted(_LAYER) + ["one-argument"])

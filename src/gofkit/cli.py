@@ -2,10 +2,7 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
-import shutil
 import sys
 
 import numpy as np
@@ -13,7 +10,6 @@ import numpy as np
 from . import bench, calibrate as cal, dists, kernels
 from .embedding import Sample, null_calibration, run_test
 from .spectrum import (
-    SPEC_FORMAT,
     DecompositionError,
     cosine_basis,
     gauss_legendre_01,
@@ -49,7 +45,7 @@ def build_parser() -> _Parser:
                      description="Kernel-embedding goodness-of-fit tests")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="compute and cache a kernel spectrum")
+    p = sub.add_parser("decompose", help="compute and store a kernel spectrum")
     p.add_argument("--kernel", required=True,
                    help="kernel id (cosine-ref[:terms], gaussian:BW, linear, "
                         "constant; gaussian-sphere:S2 or constant on spheres)")
@@ -59,16 +55,14 @@ def build_parser() -> _Parser:
                    help="truncation K (max sphere degree for zonal kernels)")
     p.add_argument("--nodes", type=int, required=True,
                    help="quadrature node count")
-    p.add_argument("--out", required=True, help="spectrum cache output path")
+    p.add_argument("--out", required=True, help="spectrum file output path")
     p.add_argument("--center", action="store_true",
                    help="center the kernel to make the basis degenerate")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore the content-addressed cache and recompute")
     _common_flags(p, seed=False)  # decompose draws nothing
 
     p = sub.add_parser("test", help="run one goodness-of-fit test on a CSV sample")
     p.add_argument("--kind", required=True, choices=["mmd", "m3d", "adaptive"])
-    p.add_argument("--spectrum", required=True, help="spectrum cache file")
+    p.add_argument("--spectrum", required=True, help="spectrum file from decompose")
     p.add_argument("--data", required=True,
                    help="CSV sample: one row per observation, columns = coordinates")
     p.add_argument("--alpha", type=float, default=0.05)
@@ -118,30 +112,6 @@ def build_parser() -> _Parser:
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
-
-
-def _cache_dir() -> str:
-    return os.environ.get(
-        "GOFKIT_CACHE_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "gofkit"))
-
-
-def _cache_key(kernel, null, trunc, nodes, center) -> str:
-    raw = "|".join([kernel, null, str(trunc), str(nodes), str(int(center)),
-                    SPEC_FORMAT])
-    return hashlib.sha256(raw.encode()).hexdigest()[:24] + ".spec"
-
-
-def _cache_serves(path, center: bool) -> bool:
-    """Whether the cache entry at ``path`` loads and can stand for a
-    decomposition with this ``center`` flag.  A Nystrom entry whose header
-    does not record centering loads uncentered, so a centered request
-    recomputes it."""
-    try:
-        basis = load_spectrum(path)
-    except (OSError, ValueError):
-        return False
-    return getattr(basis, "center", center) == center
 
 
 def _build_spectrum(args):
@@ -206,20 +176,8 @@ def _calibration_from_file(path) -> cal.NullCalibration:
 
 
 def _cmd_decompose(args) -> int:
-    cache_dir = _cache_dir()
-    cache_path = os.path.join(
-        cache_dir, _cache_key(args.kernel, args.null, args.trunc, args.nodes,
-                              args.center))
-    if not args.no_cache and _cache_serves(cache_path, args.center):
-        shutil.copyfile(cache_path, args.out)
-        _say(args, "cache hit: %s" % cache_path)
-        return 0
     basis = _build_spectrum(args)
     save_spectrum(basis, args.out)
-    if not args.no_cache:
-        os.makedirs(cache_dir, exist_ok=True)
-        shutil.copyfile(args.out, cache_path)
-        _say(args, "cache stored: %s" % cache_path)
     _say(args, "wrote %s (K=%d)" % (args.out, basis.truncation))
     return 0
 

@@ -1,4 +1,4 @@
-"""Named kernels used by the CLI and the spectrum cache.
+"""Named kernels used by the CLI and the spectrum files.
 
 A kernel id is either a bare name ("cosine-ref", "linear", "constant") or a
 name with parameters separated by colons ("gaussian:0.1").  All kernels are

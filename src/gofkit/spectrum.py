@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .kernels import as_points, cosine_features, resolve_kernel
 
@@ -58,15 +58,6 @@ def gauss_legendre_01(n: int) -> Quadrature:
     return Quadrature(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-@dataclass(frozen=True)
-class PowerLawTail:
-    """Model lambda_k = amplitude * k**(-2 s) for k > start."""
-
-    amplitude: float
-    s: float
-    start: int
-
-
 class SpectralBasis:
     """Eigenvalues and eigenfunction evaluator of a kernel under P0.
 
@@ -90,7 +81,6 @@ class SpectralBasis:
         degenerate: bool = False,
         decay_exponent: Optional[float] = None,
         sup_norms: Optional[np.ndarray] = None,
-        tail: Optional[PowerLawTail] = None,
         meta: Optional[dict] = None,
     ):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
@@ -112,7 +102,6 @@ class SpectralBasis:
                     decay_exponent = estimate_decay_exponent(eigenvalues)
         self.decay_exponent = decay_exponent
         self.sup_norms = None if sup_norms is None else np.asarray(sup_norms, float)
-        self.tail = tail
         self.meta = dict(meta or {})
 
     @property
@@ -170,9 +159,10 @@ class SpectralBasis:
         """Per-eigenvalue squared empirical means and diagonal means.
 
         Sums phi and phi^2 over blocks of ``_SUMMARY_BLOCK`` rows, so memory
-        does not grow with the sample size.
+        does not grow with the sample size; :meth:`features` checks each
+        block's rows once.
         """
-        X = self._points(X)
+        X = as_points(X)
         n = X.shape[0]
         total, square = np.zeros(self.truncation), np.zeros(self.truncation)
         for a in range(0, n, _SUMMARY_BLOCK):
@@ -410,7 +400,10 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     """
     if K < 1 or K > quad.size:
         raise ValueError("K must satisfy 1 <= K <= node count")
-    G = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float)
+    # a kernel that overflows or divides by zero on the nodes is refused
+    # below with one message, not with numpy's warnings first
+    with np.errstate(all="ignore"):
+        G = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float)
     if not np.all(np.isfinite(G)):
         raise ValueError("kernel %r has a non-finite Gram matrix on the quadrature "
                          "nodes" % kernel_id)
@@ -452,44 +445,15 @@ def moderated_eval(ms: ModeratedSpectrum, x, y) -> float:
     return float(ms.basis.kernel_matrix(x, y, weights=weights)[0, 0])
 
 
-def effective_variance(ms: ModeratedSpectrum, include_tail: bool = False) -> float:
-    """Sum over retained k of squared moderated eigenvalues.
-
-    With ``include_tail=True`` (requires a power-law tail model on the basis)
-    the sum is extended past the truncation by a midpoint-rule integral of the
-    model terms (amp k^{-2s} / (amp k^{-2s} + rho^2))^2 over k > K + 1/2.
-    """
-    v = float(moderated_variance(ms.basis.eigenvalues, [ms.rho])[0])
-    if include_tail:
-        tail = ms.basis.tail
-        if tail is None:
-            raise ValueError("basis carries no power-law tail model")
-        if ms.rho > 0:
-            rho2 = ms.rho * ms.rho
-
-            def term(k):
-                lam = tail.amplitude * k ** (-2.0 * tail.s)
-                return (lam / (lam + rho2)) ** 2
-
-            v += integrate.quad(term, tail.start + 0.5, np.inf, limit=200)[0]
-    return v
+def effective_variance(ms: ModeratedSpectrum) -> float:
+    """Sum over retained k of squared moderated eigenvalues."""
+    return float(moderated_variance(ms.basis.eigenvalues, [ms.rho])[0])
 
 
 def moderated_variance(eigenvalues: np.ndarray, rhos) -> np.ndarray:
     """v(rho) = sum_k (lambda_k / (lambda_k + rho^2))^2 at every rho of ``rhos``."""
     mod = moderate(eigenvalues, np.asarray(rhos, dtype=float)[:, None])
     return (mod * mod).sum(axis=1)
-
-
-def truncation_variance_bound(ms: ModeratedSpectrum) -> float:
-    """Upper bound on the omitted tail of the effective-variance sum."""
-    tail = ms.basis.tail
-    if tail is None or ms.rho == 0:
-        return float("inf")
-    rho2 = ms.rho * ms.rho
-    s4 = 4.0 * tail.s
-    # (lam/(lam+rho^2))^2 <= (amp/rho^2)^2 k^{-4s}; integral bound for the sum
-    return (tail.amplitude / rho2) ** 2 * tail.start ** (1.0 - s4) / (s4 - 1.0)
 
 
 def estimate_decay_exponent(eigenvalues: Sequence[float]) -> float:
@@ -649,7 +613,7 @@ def _funk_hecke(profile, d, degree_max, q):
 # reference bases
 
 
-def cosine_basis(K: int, *, with_tail: bool = True) -> SpectralBasis:
+def cosine_basis(K: int) -> SpectralBasis:
     """Reference basis under Uniform[0,1]: lambda_k = (k pi)^-2, sqrt(2) cos(k pi x)."""
     k = np.arange(1, K + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
@@ -659,26 +623,28 @@ def cosine_basis(K: int, *, with_tail: bool = True) -> SpectralBasis:
         degenerate=True,
         decay_exponent=1.0,
         sup_norms=np.full(K, math.sqrt(2.0)),
-        tail=PowerLawTail(amplitude=math.pi ** -2, s=1.0, start=K) if with_tail else None,
         meta={"kernel_id": "cosine-ref"},
     )
 
 
 # ---------------------------------------------------------------------------
-# spectrum cache (binary, little-endian, version-stamped)
+# spectrum files (binary, little-endian, version-stamped)
 
 SPEC_FORMAT = "GOFKIT-SPEC v1"
 _MAGIC = (SPEC_FORMAT + "\n").encode()
 
 
 def save_spectrum(basis: SpectralBasis, path) -> None:
-    """Serialize a basis to the versioned binary cache format."""
+    """Serialize a basis to the versioned binary spectrum format."""
     import json
 
     if isinstance(basis, NystromBasis):
+        if not basis.meta.get("kernel_id"):
+            raise ValueError("a Nystrom basis saves only with a kernel id: the "
+                             "loader rebuilds its kernel from that id")
         header = {
             "basis_type": "nystrom",
-            "kernel_id": basis.meta.get("kernel_id", ""),
+            "kernel_id": basis.meta["kernel_id"],
             "center": basis.center,
             "null_id": basis.null_id,
             "K": basis.truncation,

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,14 +11,7 @@ from gofkit import cli
 
 
 @pytest.fixture()
-def cache_dir(tmp_path, monkeypatch):
-    d = tmp_path / "cache"
-    monkeypatch.setenv("GOFKIT_CACHE_DIR", str(d))
-    return d
-
-
-@pytest.fixture()
-def spectrum_file(tmp_path, cache_dir):
+def spectrum_file(tmp_path):
     out = tmp_path / "cosine.spec"
     status = cli.main(["decompose", "--kernel", "cosine-ref", "--null",
                        "uniform-cube-1", "--trunc", "32", "--nodes", "256",
@@ -42,28 +38,31 @@ def test_help_all_subcommands(capsys):
         assert "--" in capsys.readouterr().out
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate alone loads some 300 modules and 25 MB into every run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, gofkit; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "error" in capsys.readouterr().err
 
 
-def test_decompose_and_cache_reuse(tmp_path, cache_dir, capsys):
-    out1 = tmp_path / "a.spec"
-    out2 = tmp_path / "b.spec"
+def test_decompose_is_deterministic(tmp_path, capsys):
     args = ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
             "--trunc", "16", "--nodes", "128"]
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    assert "cache stored" in capsys.readouterr().out
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    assert "cache hit" in capsys.readouterr().out
-    assert out1.read_bytes() == out2.read_bytes()
-    out3 = tmp_path / "c.spec"
-    assert cli.main(args + ["--out", str(out3), "--no-cache"]) == 0
-    assert "cache" not in capsys.readouterr().out.split("wrote")[0] or True
-    assert out3.read_bytes() == out1.read_bytes()
+    outs = [tmp_path / "a.spec", tmp_path / "b.spec"]
+    for out in outs:
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == "wrote %s (K=16)\n" % out
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_decompose_sphere(tmp_path, cache_dir):
+def test_decompose_sphere(tmp_path):
     out = tmp_path / "sph.spec"
     assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
                      "uniform-sphere-3", "--trunc", "8", "--nodes", "64",
@@ -73,7 +72,7 @@ def test_decompose_sphere(tmp_path, cache_dir):
     assert basis.null_id == "uniform-sphere-3"
 
 
-def test_decompose_unknown_kernel_exits_1(tmp_path, cache_dir, capsys):
+def test_decompose_unknown_kernel_exits_1(tmp_path, capsys):
     assert cli.main(["decompose", "--kernel", "mystery", "--null",
                      "uniform-cube-1", "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 1
@@ -81,7 +80,7 @@ def test_decompose_unknown_kernel_exits_1(tmp_path, cache_dir, capsys):
 
 
 @pytest.mark.parametrize("kernel", ["cosine-ref:0", "cosine-ref:-3"])
-def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, cache_dir, capsys, kernel):
+def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, capsys, kernel):
     assert cli.main(["decompose", "--kernel", kernel, "--null", "uniform-cube-1",
                      "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 1
@@ -97,7 +96,7 @@ def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, cache_dir, capsys,
     ("cosine-ref:abc", "uniform-cube-1"),
     ("cosine-ref:2.5", "uniform-cube-1"),
 ])
-def test_decompose_rejects_a_malformed_kernel_id(tmp_path, cache_dir, capsys, kernel, null):
+def test_decompose_rejects_a_malformed_kernel_id(tmp_path, capsys, kernel, null):
     out = tmp_path / "x.spec"
     assert cli.main(["decompose", "--kernel", kernel, "--null", null, "--trunc", "4",
                      "--nodes", "64", "--out", str(out)]) == 1
@@ -105,8 +104,8 @@ def test_decompose_rejects_a_malformed_kernel_id(tmp_path, cache_dir, capsys, ke
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_decompose_refuses_a_non_finite_gram(tmp_path, cache_dir, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decompose_refuses_a_non_finite_gram(tmp_path, capsys):
     # the bandwidth squared underflows to 0, so the diagonal is 0/0
     out = tmp_path / "x.spec"
     assert cli.main(["decompose", "--kernel", "gaussian:1e-200", "--null",
@@ -120,14 +119,14 @@ def test_decompose_refuses_a_non_finite_gram(tmp_path, cache_dir, capsys):
     ("uniform-sphere-x", "unknown null id"),
     ("uniform-cube-3", "unsupported null id for decompose"),
 ])
-def test_decompose_null_id_is_parsed_once(tmp_path, cache_dir, capsys, null, message):
+def test_decompose_null_id_is_parsed_once(tmp_path, capsys, null, message):
     assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null", null,
                      "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 1
     assert message in capsys.readouterr().err
 
 
-def test_decompose_rank_deficient_exits_2(tmp_path, cache_dir, capsys):
+def test_decompose_rank_deficient_exits_2(tmp_path, capsys):
     assert cli.main(["decompose", "--kernel", "constant", "--null",
                      "uniform-cube-1", "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 2
@@ -256,7 +255,7 @@ def test_config_file_supplies_defaults(spectrum_file, data_file, tmp_path,
 
 
 @pytest.fixture()
-def centered_file(tmp_path, cache_dir):
+def centered_file(tmp_path):
     out = tmp_path / "centered.spec"
     assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
                      "uniform-cube-1", "--trunc", "16", "--nodes", "128",
@@ -264,9 +263,11 @@ def centered_file(tmp_path, cache_dir):
     return out
 
 
-@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"], ["--seed", "5"]])
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"], ["--seed", "5"],
+                                  ["--no-cache"]])
 def test_removed_flags_exit_1(centered_file, data_file, tmp_path, flag, capsys):
-    if flag[0] == "--seed":  # decompose draws nothing, so it takes no seed
+    # decompose draws nothing, so it takes no seed; it keeps no cache either
+    if flag[0] in ("--seed", "--no-cache"):
         argv = ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
                 "--trunc", "16", "--nodes", "128", "--out", str(tmp_path / "s.spec")]
     else:
@@ -276,7 +277,7 @@ def test_removed_flags_exit_1(centered_file, data_file, tmp_path, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_decompose_reads_a_config_that_sets_a_seed(tmp_path, cache_dir, capsys):
+def test_decompose_reads_a_config_that_sets_a_seed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "quiet": True}))
     out = tmp_path / "s.spec"
@@ -290,7 +291,7 @@ def test_decompose_reads_a_config_that_sets_a_seed(tmp_path, cache_dir, capsys):
     ("cosine-ref", "uniform-cube-1", "16"),
     ("gaussian-sphere:1.0", "uniform-sphere-3", "8"),
 ])
-def test_truncated_spectrum_cache_is_one_clean_error(tmp_path, cache_dir, data_file,
+def test_truncated_spectrum_cache_is_one_clean_error(tmp_path, data_file,
                                                      capsys, kernel, null, trunc):
     from gofkit.spectrum import _MAGIC, load_spectrum
     full = tmp_path / "full.spec"
@@ -336,7 +337,7 @@ def test_cube_inputs_outside_the_method_exit_1(centered_file, tmp_path, capsys,
     ("m3d", ["--theta", "0"]),
     ("adaptive", ["--calibrate", "theory"]),
 ])
-def test_short_spectrum_has_no_schedule(tmp_path, cache_dir, data_file, capsys,
+def test_short_spectrum_has_no_schedule(tmp_path, data_file, capsys,
                                         kind, flags):
     spec = tmp_path / "k4.spec"
     assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
@@ -345,15 +346,6 @@ def test_short_spectrum_has_no_schedule(tmp_path, cache_dir, data_file, capsys,
     assert cli.main(["test", "--kind", kind, "--spectrum", str(spec),
                      "--data", str(data_file), *flags]) == 1
     assert "K < 8" in capsys.readouterr().err
-
-
-def test_cache_key_is_built_from_the_spec_format():
-    from gofkit.spectrum import SPEC_FORMAT
-    assert SPEC_FORMAT == "GOFKIT-SPEC v1"
-    assert not hasattr(cli, "CACHE_VERSION")
-    # keys written by earlier releases stay valid
-    assert (cli._cache_key("cosine-ref", "uniform-cube-1", 16, 128, False)
-            == "14130262cff635e0fa69e370.spec")
 
 
 def _edit_header(path, edit):
@@ -376,7 +368,7 @@ def _drop_header_key(path, key):
     _edit_header(path, lambda header: header.pop(key))
 
 
-def test_spectrum_header_cannot_overrule_the_eigenpairs(tmp_path, cache_dir, data_file,
+def test_spectrum_header_cannot_overrule_the_eigenpairs(tmp_path, data_file,
                                                         capsys):
     from gofkit.embedding import rho_schedule
     from gofkit.spectrum import load_spectrum
@@ -403,12 +395,12 @@ def test_spectrum_header_cannot_overrule_the_eigenpairs(tmp_path, cache_dir, dat
 
 
 @pytest.mark.filterwarnings("ignore:super-polynomial decay")
-def test_centered_gaussian_spectrum_reloads_centered(tmp_path, cache_dir, capsys):
+def test_centered_gaussian_spectrum_reloads_centered(tmp_path, capsys):
     from gofkit.spectrum import load_spectrum
     out = tmp_path / "g.spec"
-    args = ["decompose", "--kernel", "gaussian:0.1", "--null", "uniform-cube-1",
-            "--trunc", "16", "--nodes", "256", "--center", "--quiet"]
-    assert cli.main(args + ["--out", str(out)]) == 0
+    assert cli.main(["decompose", "--kernel", "gaussian:0.1", "--null", "uniform-cube-1",
+                     "--trunc", "16", "--nodes", "256", "--center", "--out", str(out),
+                     "--quiet"]) == 0
     basis = load_spectrum(out)
     assert basis.center
     assert np.abs(basis.features(basis.quad.nodes) - basis.phi_nodes).max() < 1e-9
@@ -419,21 +411,9 @@ def test_centered_gaussian_spectrum_reloads_centered(tmp_path, cache_dir, capsys
     report = json.loads(capsys.readouterr().out)
     assert abs(report["statistic"]) < 5.0
 
-    # an entry cached before the header recorded centering is recomputed for
-    # --center, and still served to the same request without --center
-    entry = cache_dir / cli._cache_key("gaussian:0.1", "uniform-cube-1", 16, 256, True)
-    _drop_header_key(entry, "center")
-    assert not load_spectrum(entry).center
-    args.remove("--quiet")
-    assert cli.main(args + ["--out", str(tmp_path / "again.spec")]) == 0
-    assert "cache stored" in capsys.readouterr().out
-    assert load_spectrum(tmp_path / "again.spec").center
-    plain = args[:-1] + ["--out", str(tmp_path / "plain.spec")]
-    assert cli.main(plain) == 0
-    _drop_header_key(cache_dir / cli._cache_key("gaussian:0.1", "uniform-cube-1", 16,
-                                                256, False), "center")
-    assert cli.main(plain) == 0
-    assert "cache hit" in capsys.readouterr().out
+    # a file written before the header recorded centering loads uncentered
+    _drop_header_key(out, "center")
+    assert not load_spectrum(out).center
 
 
 @pytest.mark.parametrize("mode", ["mc", "mc:500"])
@@ -461,7 +441,7 @@ def test_calibration_file_has_no_truncation_bias(centered_file, data_file, tmp_p
     assert json.loads(capsys.readouterr().out)["threshold"] == record["quantile"]
 
 
-def test_both_sphere_kernel_readers_share_one_parser(tmp_path, cache_dir, capsys):
+def test_both_sphere_kernel_readers_share_one_parser(tmp_path, capsys):
     assert cli.main(["decompose", "--kernel", "linear", "--null", "uniform-sphere-3",
                      "--trunc", "4", "--nodes", "64", "--out", str(tmp_path / "s.spec")]) == 1
     decompose_err = capsys.readouterr().err

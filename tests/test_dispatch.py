@@ -31,7 +31,7 @@ def centered_spec(tmp_path_factory):
     d = tmp_path_factory.mktemp("dispatch")
     spec = d / "cos.spec"
     assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
-                     "--trunc", "16", "--nodes", "128", "--center", "--no-cache",
+                     "--trunc", "16", "--nodes", "128", "--center",
                      "--out", str(spec), "--quiet"]) == 0
     return spec
 

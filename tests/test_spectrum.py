@@ -17,7 +17,6 @@ from gofkit.spectrum import (
     DecompositionError,
     ModeratedSpectrum,
     NystromBasis,
-    PowerLawTail,
     Quadrature,
     SpectralBasis,
     SphereZonalBasis,
@@ -36,7 +35,6 @@ from gofkit.spectrum import (
     save_spectrum,
     sphere_zonal_spectrum,
     tensor_product_basis,
-    truncation_variance_bound,
 )
 from gofkit.kernels import (
     as_points,
@@ -510,8 +508,7 @@ def test_parse_null_id():
     (np.array([[0.6, 0.8], [1.0, 0.0]]), "columns"),
     (np.array([[0.0, 0.0, 1.1], [0.0, 1.0, 0.0]]), "unit sphere"),
 ])
-def test_cli_test_rejects_off_sphere_csv(tmp_path, monkeypatch, capsys, rows, match):
-    monkeypatch.setenv("GOFKIT_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_test_rejects_off_sphere_csv(tmp_path, capsys, rows, match):
     spec = tmp_path / "sph.spec"
     assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
                      "uniform-sphere-3", "--trunc", "8", "--nodes", "64",
@@ -567,36 +564,8 @@ def test_effective_variance_monotone_in_rho():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_effective_variance_tail_model():
-    small = cosine_basis(500)
-    big = cosine_basis(100000)
-    rho = 0.1
-    truncated = effective_variance(ModeratedSpectrum(small, rho))
-    with_tail = effective_variance(ModeratedSpectrum(small, rho), include_tail=True)
-    reference = effective_variance(ModeratedSpectrum(big, rho))
-    assert abs(with_tail - reference) < abs(truncated - reference)
-    assert abs(with_tail - reference) < 1e-6
-
-
-def test_truncation_variance_bound_covers_remainder():
-    small = cosine_basis(500)
-    big = cosine_basis(100000)
-    rho = 0.1
-    remainder = effective_variance(ModeratedSpectrum(big, rho)) - \
-        effective_variance(ModeratedSpectrum(small, rho))
-    assert truncation_variance_bound(ModeratedSpectrum(small, rho)) >= remainder
-
-
-def test_tail_model_requires_tail():
-    basis = cosine_basis(50, with_tail=False)
-    with pytest.raises(ValueError, match="tail"):
-        effective_variance(ModeratedSpectrum(basis, 0.1), include_tail=True)
-    assert basis.tail is None
-    assert isinstance(cosine_basis(50).tail, PowerLawTail)
-
-
 # ---------------------------------------------------------------------------
-# spectrum cache
+# spectrum files
 
 
 def test_cache_roundtrip_nystrom(tmp_path):
@@ -657,6 +626,15 @@ def test_cache_roundtrip_derives_the_same_fields(tmp_path, kind):
         assert loaded.sup_norms is None
     else:
         assert np.array_equal(loaded.sup_norms, basis.sup_norms)
+
+
+def test_save_refuses_a_nystrom_basis_without_a_kernel_id(tmp_path):
+    basis = nystrom_decompose(gaussian_kernel(0.3), gauss_legendre_01(64), 8,
+                              null_id="uniform-cube-1")
+    path = tmp_path / "g.spec"
+    with pytest.raises(ValueError, match="kernel id"):
+        save_spectrum(basis, path)
+    assert not path.exists()
 
 
 def test_centered_expansion_basis_builds_and_loads_without_a_kernel_call(tmp_path,
@@ -892,6 +870,22 @@ def test_studentized_statistic_moderation_limits(case):
     want = (terms[0] - terms[1]) / scale
     got = statistic("m3d", basis, s, rho=1e6)
     assert abs(got - want) <= 1e-9 * sum(terms) / scale
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYER))
+def test_summary_checks_each_block_once(kind, monkeypatch):
+    basis, d, _ = _LAYER[kind]
+    blocks = []
+    points = SpectralBasis._points
+
+    def counted(self, X):
+        if self is basis:
+            blocks.append(len(X))
+        return points(self, X)
+
+    monkeypatch.setattr(SpectralBasis, "_points", counted)
+    basis.summary(np.random.default_rng(4).random((2 * _SUMMARY_BLOCK + 3, d)))
+    assert blocks == [_SUMMARY_BLOCK, _SUMMARY_BLOCK, 3]
 
 
 @pytest.mark.parametrize("kind", sorted(_LAYER) + ["one-argument"])

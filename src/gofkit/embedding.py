@@ -18,6 +18,10 @@ from .spectrum import (
 )
 
 GRAM_SIZE_LIMIT = 4096
+# grid statistics within this relative distance of the adaptive maximum tie
+# with it: at small rho every moderated weight rounds to 1, and the
+# statistics there differ only in their last bits
+_ARGMAX_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,10 +226,13 @@ def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> Adapti
 
 
 def _adaptive(basis: SpectralBasis, grid: RhoGrid, s: SampleSummary) -> AdaptiveStat:
-    # argmax takes the first maximiser, so a tie goes to the lowest rho
+    # a tie goes to the lowest rho: the first grid value whose statistic is
+    # within _ARGMAX_RTOL of the maximum, so that round-off along a flat
+    # stretch of the grid does not move the reported argmax
     t = _studentized(basis, s, grid.values)
-    i = int(np.argmax(t))
-    return AdaptiveStat(value=float(t[i]), argmax_rho=float(grid.values[i]))
+    value = t.max()
+    i = int(np.argmax(t >= value - _ARGMAX_RTOL * abs(value)))
+    return AdaptiveStat(value=float(value), argmax_rho=float(grid.values[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ expansion (see :func:`expansion_kernel`).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+# the largest bandwidth whose 2 bw^2 is finite
+_GAUSSIAN_MAX_BANDWIDTH = math.sqrt(sys.float_info.max / 2.0)
 
 
 def as_points(X) -> np.ndarray:
@@ -74,8 +78,8 @@ def cosine_reference_kernel(n_terms: int = 200):
 
 def gaussian_kernel(bandwidth: float):
     """K(x,y) = exp(-||x-y||^2 / (2 bw^2))."""
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth <= _GAUSSIAN_MAX_BANDWIDTH:
+        raise ValueError("bandwidth must be positive, with 2 bw^2 finite")
 
     def kernel(X, Y):
         X, Y = as_points(X), as_points(Y)
@@ -106,11 +110,14 @@ def gaussian_sphere_profile(sigma2: float):
 
 
 # what each kernel name takes after a colon: None for nothing, else how to
-# read it, what it must be, and its value when the colon is left out
+# read it, what it must be, its value when the colon is left out, and the
+# largest value it may take
 _ARGUMENTS = {
-    "cosine-ref": (int, "at least one term, given as an integer count", 200),
-    "gaussian": (float, "a finite positive bandwidth", None),
-    "gaussian-sphere": (float, "a finite positive sigma^2", None),
+    "cosine-ref": (int, "at least one term, given as an integer count", 200,
+                   sys.float_info.max),
+    "gaussian": (float, "a positive bandwidth with a finite 2 bw^2", None,
+                 _GAUSSIAN_MAX_BANDWIDTH),
+    "gaussian-sphere": (float, "a finite positive sigma^2", None, sys.float_info.max),
     "linear": None,
     "constant": None,
 }
@@ -127,14 +134,14 @@ def parse_kernel_id(kernel_id: str):
         if colon:
             raise ValueError("kernel id %r: %s takes no argument" % (kernel_id, name))
         return name, None
-    read, what, default = _ARGUMENTS[name]
+    read, what, default, top = _ARGUMENTS[name]
     if not colon and default is not None:
         return name, default
     try:
         value = read(arg)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:  # NaN fails too
+    if not 0 < value <= top:  # NaN fails too
         raise ValueError("kernel id %r: %s needs %s" % (kernel_id, name, what))
     return name, value
 

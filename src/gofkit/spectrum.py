@@ -1,9 +1,11 @@
 """Spectral decompositions of Mercer kernels relative to a null distribution.
 
-Bases are represented by their eigenvalues together with either an explicit
-feature map (eigenfunction evaluator) or, for zonal kernels on spheres, a
-degree-structured evaluator that routes all kernel evaluations through the
-Gegenbauer addition theorem.
+Bases are represented by their eigenvalues together with an explicit feature
+map (eigenfunction evaluator).  Zonal kernels on spheres group their
+eigenvalues by degree and evaluate kernels through the Gegenbauer addition
+theorem; on S^2 their eigenfunctions, the real spherical harmonics, are
+evaluated explicitly, and on higher spheres a sample summary walks the Gram
+matrix instead.
 """
 from __future__ import annotations
 
@@ -169,6 +171,7 @@ class SpectralBasis:
             fx = self.features(X[a:a + _SUMMARY_BLOCK])
             total += fx.sum(axis=0)
             square += np.einsum("ij,ij->j", fx, fx)
+            del fx  # so that the next block is not built beside this one
         m = total / n
         return SampleSummary(
             group_eigenvalues=self.eigenvalues,
@@ -259,15 +262,21 @@ class NystromBasis(_PrefixBasis):
 
 
 class SphereZonalBasis(SpectralBasis):
-    """Zonal-kernel basis on S^{d-1}; evaluation uses the addition theorem.
+    """Zonal-kernel basis on S^{d-1}; kernels come from the addition theorem.
 
-    Harmonics of degree k share one eigenvalue with multiplicity N(d, k);
-    they are never materialized individually.  Points must be unit vectors
-    in R^d (the null id defaults to uniform-sphere-d).  :meth:`summary`
+    Harmonics of degree k share one eigenvalue with multiplicity N(d, k).
+    Points must be unit vectors in R^d (the null id defaults to
+    uniform-sphere-d).  The basis is degenerate when degree 0, the constant,
+    is not kept.
+
+    On S^2 (d = 3) the eigenfunctions are the real spherical harmonics, one
+    block of 2k+1 columns per kept degree, in the order of ``degrees``.
+    :meth:`features` evaluates them, and :meth:`summary` sums them over
+    blocks of ``_SUMMARY_BLOCK`` rows: O(n K) time and O(block K) memory.
+    For d >= 4 the harmonics are never materialized, and :meth:`summary`
     costs O(n^2 degree_max) time and O(block n) memory: it walks the Gram
     matrix in blocks of rows and steps one Gegenbauer recurrence through
-    every degree up to ``max(degrees)``.  The basis is degenerate when
-    degree 0, the constant, is not kept.
+    every degree up to ``max(degrees)``.
     """
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
@@ -287,7 +296,8 @@ class SphereZonalBasis(SpectralBasis):
             ([0], np.cumsum(self.multiplicities.astype(int))[:-1])
         )
         kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
-        super().__init__(expanded, None, degenerate=0 not in self.degrees, **kw)
+        harmonics = (lambda X: _sphere2_harmonics(X, self.degrees)) if self.d == 3 else None
+        super().__init__(expanded, harmonics, degenerate=0 not in self.degrees, **kw)
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         weights = np.asarray(self.eigenvalues if weights is None else weights, dtype=float)
@@ -306,6 +316,24 @@ class SphereZonalBasis(SpectralBasis):
         return out
 
     def summary(self, X) -> SampleSummary:
+        """Per-degree squared empirical means: ``mean_sq[j]`` sums
+        (mean_i Y(X_i))^2 over the harmonics Y of degree ``degrees[j]``, and
+        ``diag_mean`` is ``multiplicities``."""
+        if self.d != 3:
+            return self._gram_summary(X)
+        # the harmonics' own summary, grouped by degree; by the addition
+        # theorem at <x, x> = 1 each degree's diagonal mean is exactly N(3, k)
+        s = super().summary(X)
+        return SampleSummary(
+            group_eigenvalues=self.degree_eigenvalues,
+            mean_sq=np.add.reduceat(s.mean_sq, self._block_start),
+            diag_mean=self.multiplicities.astype(float),
+            n=s.n,
+        )
+
+    def _gram_summary(self, X) -> SampleSummary:
+        """:meth:`summary` from the Gram matrix, for any d: mean_sq[j] is
+        N(d, k) n^-2 sum_{i,l} R_k(<X_i, X_l>) for k = ``degrees[j]``."""
         X = self._points(X)
         n = X.shape[0]
         sums = np.zeros(int(self.degrees.max()) + 1)
@@ -324,10 +352,63 @@ class SphereZonalBasis(SpectralBasis):
         )
 
 
+def _sphere2_harmonics(X: np.ndarray, degrees) -> np.ndarray:
+    """Real spherical harmonics on S^2 of each degree in ``degrees``, in that
+    order, at the rows of X: an (n, sum(2k+1)) array.
+
+    Degree k's block holds q_k0(z), then q_km(z) Re w^m and q_km(z) Im w^m
+    for m = 1..k, with w = x_1 + i x_2 and z = x_3.  Here q_km is the
+    polynomial part of the fully normalized associated Legendre function,
+    P_km(cos t) = q_km(cos t) sin^m t, and w^m = sin^m t e^{i m phi} carries
+    the sine factor, so no angle is needed.  q_km steps up in k by the
+    recurrence of Holmes & Featherstone (2002, J. Geodesy 76), from q_00 = 1
+    and q_mm = sqrt(2 3/2 5/4 ... (2m+1)/(2m)) for m >= 1.  Normalized so
+    that sum_m Y_km(x) Y_km(y) = (2k+1) P_k(<x, y>): the columns are
+    orthonormal under the uniform probability measure.
+    """
+    n, top = X.shape[0], int(max(degrees))
+    width = 2 * np.asarray(degrees) + 1
+    # the row of out where each kept degree's block starts
+    start = dict(zip((int(k) for k in degrees), np.cumsum(width) - width))
+    out = np.empty((int(width.sum()), n))
+    x, y, z = X[:, 0], X[:, 1], X[:, 2]
+    # (re, im) = w^m, stepped in m by one complex multiplication
+    re, im, sectoral = np.ones(n), np.zeros(n), 1.0
+    prev, cur, scratch = np.empty(n), np.empty(n), np.empty(n)
+    for m in range(top + 1):
+        if m:
+            re, im = re * x - im * y, re * y + im * x
+            sectoral *= math.sqrt((2.0 * m + 1.0) / (2.0 * m) * (2.0 if m == 1 else 1.0))
+        prev.fill(0.0)
+        cur.fill(sectoral)
+        for k in range(m, top + 1):
+            if k > m:
+                # q_km = a z q_{k-1,m} - b q_{k-2,m}, in place; q_{m-1,m} = 0
+                a = math.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
+                b = 0.0 if k == m + 1 else math.sqrt(
+                    (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
+                    / ((k - m) * (k + m) * (2.0 * k - 3.0)))
+                np.multiply(z, cur, out=scratch)
+                scratch *= a
+                prev *= b
+                np.subtract(scratch, prev, out=prev)
+                prev, cur = cur, prev
+            if k not in start:
+                continue
+            row = start[k]
+            if m == 0:
+                out[row] = cur
+            else:
+                np.multiply(cur, re, out=out[row + 2 * m - 1])
+                np.multiply(cur, im, out=out[row + 2 * m])
+    return out.T
+
+
 # rows per block in SpectralBasis.summary: a block's features stay a few MB
 _SUMMARY_BLOCK = 4096
-# rows per block in SphereZonalBasis.summary: a block of the Gram matrix and
-# the recurrence's terms stay in cache (256 rows ran 2.3x slower at n = 1000)
+# rows per block in SphereZonalBasis._gram_summary: a block of the Gram
+# matrix and the recurrence's terms stay in cache (256 rows ran 2.3x slower
+# at n = 1000)
 _ZONAL_BLOCK = 64
 # how far a point may sit off the null's support: outside [0,1]^d, or by
 # | ||x|| - 1 | off the unit sphere

@@ -90,6 +90,7 @@ def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, capsys, kernel):
 @pytest.mark.parametrize("kernel, null", [
     ("gaussian:nan", "uniform-cube-1"),
     ("gaussian:inf", "uniform-cube-1"),
+    ("gaussian:1e300", "uniform-cube-1"),  # 2 bw^2 overflows
     ("gaussian-sphere:nan", "uniform-sphere-3"),
     ("linear:3", "uniform-cube-1"),
     ("constant:1", "uniform-cube-1"),

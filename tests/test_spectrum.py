@@ -373,14 +373,16 @@ def _sphere_points(n, d, seed, shift=0.4):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _reference_mean_sq(basis, X):
-    """Per-degree eval_gegenbauer sums over the full n x n Gram matrix."""
-    n = X.shape[0]
+def _reference_mean_sq(basis, X, counts=None):
+    """Per-degree eval_gegenbauer sums over the full n x n Gram matrix; with
+    ``counts``, row i of X stands for counts[i] copies of itself."""
+    counts = np.ones(X.shape[0]) if counts is None else np.asarray(counts, float)
+    n = counts.sum()
     t = np.clip(X @ X.T, -1.0, 1.0)
     nu = (basis.d - 2) / 2.0
     return np.array([
-        mult * np.sum(special.eval_gegenbauer(int(k), nu, t)
-                      / special.eval_gegenbauer(int(k), nu, 1.0)) / (n * n)
+        mult * (counts @ (special.eval_gegenbauer(int(k), nu, t)
+                          / special.eval_gegenbauer(int(k), nu, 1.0)) @ counts) / (n * n)
         for k, mult in zip(basis.degrees, basis.multiplicities)])
 
 
@@ -403,6 +405,81 @@ def test_zonal_summary_matches_gegenbauer_reference(d, n):
 
 
 _SPHERE_BASES = {d: _zonal_bases(d) for d in (3, 4)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_sphere2_summary_matches_the_gram_walk(n):
+    X = _sphere_points(n, 3, seed=n)
+    for basis in _SPHERE_BASES[3]:
+        got, walk = basis.summary(X), basis._gram_summary(X)
+        assert np.allclose(got.mean_sq, walk.mean_sq, rtol=1e-12, atol=0)
+        assert np.array_equal(got.diag_mean, walk.diag_mean)
+        assert np.array_equal(got.group_eigenvalues, walk.group_eigenvalues)
+
+
+# n rows drawn with repetition from a few distinct points: the Gram form over
+# the distinct points, weighted by their counts, stays cheap for n on both
+# sides of the summary's row blocks, where the Gram walk over all n rows
+# would take seconds per example
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2 * _SUMMARY_BLOCK + 5), st.integers(1, 48),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_sphere2_summary_matches_the_gram_form_across_blocks(n, distinct, seed, gaps):
+    basis = _SPHERE_BASES[3][gaps]
+    Y = _sphere_points(distinct, 3, seed)
+    rows = np.random.default_rng(seed + 1).integers(0, distinct, n)
+    want = _reference_mean_sq(basis, Y, np.bincount(rows, minlength=distinct))
+    s = basis.summary(Y[rows])
+    assert s.n == n
+    assert np.allclose(s.mean_sq, want, rtol=1e-12, atol=0)
+    assert np.array_equal(s.diag_mean, basis.multiplicities)
+
+
+@pytest.mark.parametrize("basis", [
+    SphereZonalBasis([0.5, 0.2, 0.1, 0.01], [1, 3, 4, 9], 3),
+    # eigenvalue order puts degree 1 last
+    SphereZonalBasis([0.01, 0.5, 0.2, 0.1], [1, 3, 4, 9], 3),
+    sphere_zonal_spectrum(gaussian_sphere_profile(1.0), 3, 20, include_degree_zero=True),
+], ids=["gaps", "gaps-reordered", "with-degree-0"])
+def test_sphere2_features_satisfy_the_addition_theorem(basis):
+    X, Y = _sphere_points(40, 3, seed=11), _sphere_points(30, 3, seed=12, shift=-0.7)
+    F, G = basis.features(X), basis.features(Y)
+    assert F.shape == (40, basis.truncation)
+    t = np.clip(X @ Y.T, -1.0, 1.0)
+    for k, start in zip(basis.degrees, basis._block_start):
+        block = slice(start, start + 2 * k + 1)
+        want = (2 * k + 1) * special.eval_legendre(k, t)
+        assert np.abs(F[:, block] @ G[:, block].T - want).max() <= 1e-12 * (2 * k + 1)
+    # the columns line up with basis.eigenvalues: the feature form of the
+    # kernel is the addition-theorem form
+    generic = SpectralBasis.kernel_matrix(basis, X, Y)
+    assert np.abs(generic - basis.kernel_matrix(X, Y)).max() <= 1e-12
+
+
+def test_sphere2_head_is_the_feature_prefix():
+    basis = _SPHERE_BASES[3][0]
+    X = _sphere_points(30, 3, seed=2)
+    full = basis.features(X)
+    for m in (0, 1, 3, 4, basis.truncation - 1, basis.truncation):
+        assert np.array_equal(basis.head(X, m), full[:, :m])
+    # above S^2 the harmonics stay implicit
+    with pytest.raises(NotImplementedError):
+        _SPHERE_BASES[4][0].features(_sphere_points(3, 4, seed=2))
+
+
+def test_sphere2_summary_checks_each_block_once(monkeypatch):
+    basis = _SPHERE_BASES[3][0]
+    blocks = []
+    points = SpectralBasis._points
+
+    def counted(self, X):
+        if self is basis:
+            blocks.append(len(X))
+        return points(self, X)
+
+    monkeypatch.setattr(SpectralBasis, "_points", counted)
+    basis.summary(_sphere_points(2 * _SUMMARY_BLOCK + 3, 3, seed=4))
+    assert blocks == [_SUMMARY_BLOCK, _SUMMARY_BLOCK, 3]
 _sphere_cases = st.tuples(st.sampled_from([3, 4]), st.integers(1, 2 * _ZONAL_BLOCK + 5),
                           st.integers(0, 2 ** 32 - 1), st.booleans())
 
@@ -441,16 +518,19 @@ def test_zonal_gram_identity(case):
 
 
 def test_zonal_summary_memory_is_linear_in_n():
-    basis = _SPHERE_BASES[3][0]
-    X = _sphere_points(4000, 3, seed=7, shift=0.0)
-    tracemalloc.start()
-    try:
-        basis.summary(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one n x n Gram matrix alone would be 128 MB
-    assert peak < 16e6
+    # the harmonics on S^2 and the Gram walk on S^3; an n x n Gram matrix
+    # would be 128 MB at n = 4000, and one 64-row block of the Gram walk
+    # 102 MB at n = 2e5
+    for d, n in ((3, 2 * 10 ** 5), (4, 4000)):
+        basis = _SPHERE_BASES[d][0]
+        X = _sphere_points(n, d, seed=7, shift=0.0)
+        tracemalloc.start()
+        try:
+            basis.summary(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (d, n, peak)
 
 
 @pytest.mark.parametrize("bad, match", [

@@ -1,4 +1,8 @@
-"""Null-distribution quantiles and p-values for the three tests."""
+"""Null-distribution quantiles and p-values for the three tests.
+
+The MMD null sum_k lambda_k Z_k^2 is drawn with one variate per distinct
+eigenvalue: lambda * chi^2_m for a value shared by m eigenfunctions.
+"""
 from __future__ import annotations
 
 import math
@@ -13,7 +17,7 @@ from scipy import special
 CHISQ_REPS = 100_000
 EMPIRICAL_REPS = 200
 # chi-square-mixture draws per block, which bounds the memory of one
-# calibration at _CHISQ_CHUNK x K normals
+# calibration at _CHISQ_CHUNK x (number of distinct eigenvalues) variates
 _CHISQ_CHUNK = 8192
 
 
@@ -72,22 +76,27 @@ def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = CHISQ_REPS,
                        seed: Optional[int] = None) -> NullCalibration:
     """Empirical (1-alpha) quantile of W = sum_k lambda_k Z_k^2 over MC draws.
 
-    The simulation is truncated at the given spectrum.
+    The simulation is truncated at the given spectrum.  Each block draws the
+    simple eigenvalues' squared normals first, in spectrum order, so an
+    all-distinct spectrum gives the replicates of one normal per eigenfunction.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise ValueError("eigenvalues must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if reps < 100:
         raise ValueError("reps must be at least 100")
+    values, counts = np.unique(lam, return_counts=True)
+    simple = lam[counts[np.searchsorted(values, lam)] == 1]
+    tied, dof = values[counts > 1], counts[counts > 1]
     rng = np.random.default_rng(seed)
     draws = np.empty(reps)
     done = 0
     while done < reps:
         m = min(_CHISQ_CHUNK, reps - done)
-        z = rng.standard_normal((m, lam.size))
-        draws[done:done + m] = (z * z) @ lam
+        z = rng.standard_normal((m, simple.size))
+        draws[done:done + m] = (z * z) @ simple + rng.chisquare(dof, (m, dof.size)) @ tied
         done += m
     return NullCalibration(
         method="chisq-mixture-mc", alpha=alpha,

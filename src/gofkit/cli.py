@@ -19,6 +19,7 @@ from .spectrum import (
     save_spectrum,
     sphere_zonal_spectrum,
     tensor_product_basis,
+    write_atomic,
 )
 
 class CliError(Exception):
@@ -150,15 +151,22 @@ def _basis_from_config(cfg: dict):
     raise CliError("unknown basis type %r in plan" % kind)
 
 
-def _calibration_to_dict(c: cal.NullCalibration) -> dict:
-    return {
-        "method": c.method,
-        "alpha": c.alpha,
-        "quantile": c.quantile,
-        "reps": c.reps,
-        "seed": c.seed,
-        "replicates": None if c.replicates is None else c.replicates.tolist(),
-    }
+def _calibration_file_chunks(c: cal.NullCalibration):
+    """The calibration file's JSON text, in pieces.
+
+    The C encoder writes the replicates 8192 at a time, so neither all of
+    them as Python floats nor the whole text is ever held at once.
+    """
+    head = json.dumps({"method": c.method, "alpha": c.alpha, "quantile": c.quantile,
+                       "reps": c.reps, "seed": c.seed, "replicates": None})
+    if c.replicates is None:
+        yield (head + "\n").encode()
+        return
+    yield (head[:-len("null}")] + "[").encode()  # "replicates" is the last field
+    for i in range(0, c.replicates.size, 8192):
+        block = json.dumps(c.replicates[i:i + 8192].tolist())[1:-1]
+        yield ((", " if i else "") + block).encode()
+    yield b"]}\n"
 
 
 def _calibration_from_file(path) -> cal.NullCalibration:
@@ -220,9 +228,7 @@ def _cmd_calibrate(args) -> int:
     basis = load_spectrum(args.spectrum)
     c = null_calibration(args.kind, basis, args.n, args.alpha,
                          reps=args.reps, seed=args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(_calibration_to_dict(c), fh)
-        fh.write("\n")
+    write_atomic(args.out, _calibration_file_chunks(c))
     _say(args, "method: %s\nquantile: %.10g\nwrote %s"
          % (c.method, c.quantile, args.out))
     return 0

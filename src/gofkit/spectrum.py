@@ -10,10 +10,11 @@ matrix instead.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import special
@@ -749,16 +750,26 @@ def save_spectrum(basis: SpectralBasis, path) -> None:
         arrays = [basis.degree_eigenvalues, basis.degrees.astype(float)]
     else:
         raise ValueError("only Nystrom and zonal bases are cacheable")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        hjson = json.dumps(header).encode()
-        fh.write(struct.pack("<I", len(hjson)))
-        fh.write(hjson)
-        for arr in arrays:
-            a = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<I", a.ndim))
-            fh.write(struct.pack("<%dq" % a.ndim, *a.shape))
-            fh.write(a.tobytes())
+    hjson = json.dumps(header).encode()
+    parts = [_MAGIC, struct.pack("<I", len(hjson)), hjson]
+    for arr in arrays:
+        a = np.ascontiguousarray(arr, dtype="<f8")
+        parts += [struct.pack("<I", a.ndim), struct.pack("<%dq" % a.ndim, *a.shape),
+                  a.tobytes()]
+    write_atomic(path, parts)
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` through a temp file in the same directory,
+    so ``path`` holds either its old content or all of the new."""
+    tmp = "%s.%s.tmp" % (os.fspath(path), os.urandom(8).hex())
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the replace failed
+            os.remove(tmp)
 
 
 def load_spectrum(path) -> SpectralBasis:

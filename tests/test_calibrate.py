@@ -10,6 +10,7 @@ from gofkit.calibrate import (
     normal_calibration,
     normal_quantile,
 )
+from gofkit.spectrum import cosine_basis, tensor_product_basis
 
 
 def test_normal_quantile_values():
@@ -65,9 +66,56 @@ def test_chisq_input_validation():
     with pytest.raises(ValueError):
         chisq_mix_quantile([1.0, -0.5], 0.05, reps=1000, seed=0)
     with pytest.raises(ValueError):
+        chisq_mix_quantile([1.0, float("nan"), float("nan")], 0.05, reps=1000, seed=0)
+    with pytest.raises(ValueError):
         chisq_mix_quantile([1.0], 0.05, reps=50, seed=0)
     with pytest.raises(ValueError):
         chisq_mix_quantile([1.0], 1.5, reps=1000, seed=0)
+
+
+def _ungrouped_draws(lam, reps, seed, chunk=8192):
+    """One squared normal per eigenvalue, over blocks of ``chunk`` rows."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, reps, chunk):
+        z = rng.standard_normal((min(chunk, reps - start), len(lam)))
+        out.append((z * z) @ np.asarray(lam, dtype=float))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("reps", [100, 8191, 8192, 8193, 20000])
+def test_chisq_distinct_spectrum_draws_one_normal_per_eigenvalue(reps):
+    # all-distinct and not sorted ascending, so drawing the simple
+    # eigenvalues in any order other than the spectrum's changes the bits
+    lam = cosine_basis(40).eigenvalues[[0, 3, 1, 2] + list(range(4, 40))]
+    c = chisq_mix_quantile(lam, 0.05, reps=reps, seed=11)
+    assert np.array_equal(c.replicates, _ungrouped_draws(lam, reps, seed=11))
+
+
+@pytest.mark.parametrize("m", [2, 7, 40])
+def test_chisq_pure_tie_is_a_scaled_chi_square(m):
+    reps, alpha, scale = 20000, 0.05, 0.5
+    c = chisq_mix_quantile([scale] * m, alpha, reps=reps, seed=12)
+    q = scale * stats.chi2.ppf(1 - alpha, df=m)
+    se = np.sqrt(alpha * (1 - alpha) / reps) / (stats.chi2.pdf(q / scale, df=m) / scale)
+    assert abs(c.quantile - q) < 3 * se
+
+
+@pytest.mark.parametrize("lam", [
+    [0.9, 0.5, 0.2, 0.5, 0.3, 0.2, 0.2, 0.1, 0.5, 0.05],
+    tensor_product_basis(cosine_basis(32), 5, 256).eigenvalues,
+], ids=["interleaved-ties", "tensor-d5-K256"])
+def test_chisq_mixed_spectrum_matches_ungrouped_draws(lam):
+    reps = 20000
+    grouped = chisq_mix_quantile(lam, 0.05, reps=reps, seed=13).replicates
+    ungrouped = _ungrouped_draws(lam, reps, seed=14)
+    assert stats.ks_2samp(grouped, ungrouped).pvalue > 1e-3
+    for alpha in (0.5, 0.1, 0.05, 0.01):
+        # the density at q from the ungrouped draws within +-0.5 % of it, and
+        # the SE of the difference of two independent sample quantiles
+        lo, q, hi = np.quantile(ungrouped, [1 - alpha - 0.005, 1 - alpha, 1 - alpha + 0.005])
+        se = np.sqrt(2 * alpha * (1 - alpha) / reps) * (hi - lo) / 0.01
+        assert abs(np.quantile(grouped, 1 - alpha) - q) < 4 * se, alpha
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,44 @@ def test_calibrate_file_roundtrip(spectrum_file, data_file, tmp_path, capsys):
     assert record["threshold"] == pytest.approx(stored["quantile"])
 
 
+@pytest.mark.parametrize("kind, reps", [("mmd", 100), ("mmd", 8192), ("mmd", 8193),
+                                        ("m3d", None)])
+def test_calibration_file_is_the_json_of_its_fields(spectrum_file, tmp_path, kind, reps):
+    # the file is written in pieces; together they must be the one-shot
+    # encoding of the fields, replicates last, whatever the block boundaries
+    out = tmp_path / "c.json"
+    args = ["calibrate", "--kind", kind, "--spectrum", str(spectrum_file), "--n", "200",
+            "--seed", "4", "--out", str(out), "--quiet"]
+    assert cli.main(args + (["--reps", str(reps)] if reps else [])) == 0
+    fields = json.loads(out.read_text())
+    assert list(fields) == ["method", "alpha", "quantile", "reps", "seed", "replicates"]
+    assert out.read_text() == json.dumps(fields) + "\n"
+    assert (fields["replicates"] is None) == (reps is None)
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+     "--trunc", "16", "--nodes", "128"],
+    ["calibrate", "--kind", "mmd", "--n", "200", "--reps", "500", "--seed", "4"],
+], ids=["decompose", "calibrate"])
+def test_a_failed_replace_keeps_the_old_file(spectrum_file, tmp_path, capsys,
+                                             monkeypatch, command):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old contents")
+    before = sorted(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    if command[0] == "calibrate":
+        command = command + ["--spectrum", str(spectrum_file)]
+    assert cli.main(command + ["--out", str(out), "--quiet"]) == 2
+    assert "replace refused" in capsys.readouterr().err
+    assert out.read_bytes() == b"old contents"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_calibrate_requires_seed(spectrum_file, tmp_path, capsys):
     assert cli.main(["calibrate", "--kind", "adaptive", "--spectrum",
                      str(spectrum_file), "--n", "200",

@@ -1,12 +1,23 @@
-"""Golden `gofkit test` reports on an S^2 spectrum.
+"""Golden outputs: `gofkit test` reports, a calibration file and fig1 rows.
 
-The pinned numbers are those gofkit 0.6.0 wrote, when the zonal summary
-still walked the Gram matrix; the summary from explicit spherical harmonics
-must reproduce them.  `reject` and the calibration must match exactly, and
-every number within 1e-12 relative.  A change that means to move one of
-these outputs updates its pin in the same diff and says so in CHANGES.md.
+`reject`, the calibration and every key must match exactly, and every
+number within 1e-12 relative.  A change that means to move one of these
+outputs updates its pin in the same diff and says so in CHANGES.md.
+
+- S^2 reports: the pins are those gofkit 0.6.0 wrote, when the zonal
+  summary still walked the Gram matrix, except the mmd threshold and
+  p-value, which 0.8.0 moved when the chi-square-mixture null began to draw
+  one variate per distinct eigenvalue (the S^2 spectrum ties 2k+1
+  eigenfunctions per degree).
+- Cube reports and the `calibrate` quantile on a centered cosine-ref
+  spectrum: the values 0.7.0 wrote.  Its eigenvalues are all distinct, so
+  the chi-square draws of 0.8.0 are bit-identical.
+- `reproduce fig1 --scale desk --seed 1` rows, from `golden/`: written by
+  0.8.0; the m3d rows are those of 0.7.0.
 """
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +25,29 @@ import pytest
 from gofkit import cli
 
 _RTOL = 1e-12
+_FIG1 = Path(__file__).parent / "golden" / "fig1_desk_seed1.csv"
 
-# gofkit test JSON on the sample below, by case: (extra flags, report)
-_PINS = {
-    "mmd": (["--kind", "mmd", "--seed", "3"], {
+# extra `gofkit test` flags by case
+_FLAGS = {
+    "mmd": ["--kind", "mmd", "--seed", "3"],
+    "m3d": ["--kind", "m3d", "--theta", "0"],
+    "adaptive-theory": ["--kind", "adaptive", "--calibrate", "theory"],
+    "adaptive-mc": ["--kind", "adaptive", "--calibrate", "mc:100", "--seed", "3"],
+}
+
+# gofkit test JSON on the S^2 sample below, by case
+_SPHERE_PINS = {
+    "mmd": {
         "alpha": 0.05,
         "calibration": {"method": "chisq-mixture-mc", "reps": 100000, "seed": 3},
         "kind": "mmd",
-        "p_value": 0.00231,
+        "p_value": 0.00243,
         "parameters": {"K": 224, "alpha": 0.05},
         "reject": True,
         "statistic": 2.3230840530400756,
-        "threshold": 1.441759873705637,
-    }),
-    "m3d": (["--kind", "m3d", "--theta", "0"], {
+        "threshold": 1.4356964263594927,
+    },
+    "m3d": {
         "alpha": 0.05,
         "calibration": {"method": "normal", "reps": None, "seed": None},
         "kind": "m3d",
@@ -36,8 +56,8 @@ _PINS = {
         "reject": True,
         "statistic": 1.9175138552050774,
         "threshold": 1.6448536269514722,
-    }),
-    "adaptive-theory": (["--kind", "adaptive", "--calibrate", "theory"], {
+    },
+    "adaptive-theory": {
         "alpha": 0.05,
         "calibration": {"method": "theory-loglog", "reps": None, "seed": None},
         "kind": "adaptive",
@@ -48,8 +68,8 @@ _PINS = {
         "reject": False,
         "statistic": 1.9945218770872395,
         "threshold": 2.3410911978823457,
-    }),
-    "adaptive-mc": (["--kind", "adaptive", "--calibrate", "mc:100", "--seed", "3"], {
+    },
+    "adaptive-mc": {
         "alpha": 0.05,
         "calibration": {"method": "empirical-mc", "reps": 100, "seed": 3},
         "kind": "adaptive",
@@ -60,8 +80,60 @@ _PINS = {
         "reject": False,
         "statistic": 1.9945218770872395,
         "threshold": 2.401246852925752,
-    }),
+    },
 }
+
+# gofkit test JSON on the [0,1] sample below, by case
+_CUBE_PINS = {
+    "mmd": {
+        "alpha": 0.05,
+        "calibration": {"method": "chisq-mixture-mc", "reps": 100000, "seed": 3},
+        "kind": "mmd",
+        "p_value": 0.03161,
+        "parameters": {"K": 64, "alpha": 0.05},
+        "reject": True,
+        "statistic": 0.5395084665975862,
+        "threshold": 0.4621277422924189,
+    },
+    "m3d": {
+        "alpha": 0.05,
+        "calibration": {"method": "normal", "reps": None, "seed": None},
+        "kind": "m3d",
+        "p_value": 0.04569796707605245,
+        "parameters": {"K": 64, "alpha": 0.05, "rho": 0.0832553207401871},
+        "reject": True,
+        "statistic": 1.688079681926274,
+        "threshold": 1.6448536269514722,
+    },
+    "adaptive-theory": {
+        "alpha": 0.05,
+        "calibration": {"method": "theory-loglog", "reps": None, "seed": None},
+        "kind": "adaptive",
+        "p_value": None,
+        "parameters": {"K": 64, "alpha": 0.05, "argmax_rho": 0.11972789309280206,
+                       "m_star": 14, "rho_star": 7.3076106624024695e-06,
+                       "theory_threshold": 2.3410911978823457},
+        "reject": False,
+        "statistic": 1.8620055122302155,
+        "threshold": 2.3410911978823457,
+    },
+    "adaptive-mc": {
+        "alpha": 0.05,
+        "calibration": {"method": "empirical-mc", "reps": 100, "seed": 3},
+        "kind": "adaptive",
+        "p_value": 0.16,
+        "parameters": {"K": 64, "alpha": 0.05, "argmax_rho": 0.11972789309280206,
+                       "m_star": 14, "rho_star": 7.3076106624024695e-06,
+                       "theory_threshold": 2.3410911978823457},
+        "reject": False,
+        "statistic": 1.8620055122302155,
+        "threshold": 2.9588625647143485,
+    },
+}
+
+# `gofkit calibrate --kind mmd --n 500 --seed 3` on the cube spectrum
+_CUBE_CALIBRATION_PIN = {"method": "chisq-mixture-mc", "alpha": 0.05,
+                         "quantile": 0.4621277422924189, "reps": 100000, "seed": 3}
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +152,22 @@ def sphere_inputs(tmp_path_factory):
     return spec, data
 
 
+@pytest.fixture(scope="module")
+def cube_inputs(tmp_path_factory):
+    """The decide-cube spectrum (centered cosine-ref, K = 64, 512 nodes) and
+    500 points on [0,1], a fifth of them from Beta(2, 5)."""
+    root = tmp_path_factory.mktemp("golden")
+    spec, data = root / "cube.spec", root / "x.csv"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
+                     "uniform-cube-1", "--trunc", "64", "--nodes", "512",
+                     "--center", "--out", str(spec), "--quiet"]) == 0
+    rng = np.random.default_rng(13)
+    alt = rng.random(500) < 0.2
+    x = np.where(alt, rng.beta(2.0, 5.0, 500), rng.random(500))
+    np.savetxt(data, x[:, None], delimiter=",", fmt="%.17g")
+    return spec, data
+
+
 def _assert_matches(got, want, path="report"):
     if isinstance(want, dict):
         assert sorted(got) == sorted(want), path
@@ -92,11 +180,44 @@ def _assert_matches(got, want, path="report"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
-@pytest.mark.parametrize("case", sorted(_PINS))
-def test_sphere_test_report_matches_its_pin(sphere_inputs, capsys, case):
-    spec, data = sphere_inputs
-    flags, want = _PINS[case]
+def _report(inputs, capsys, case):
+    spec, data = inputs
     capsys.readouterr()
     assert cli.main(["test", "--spectrum", str(spec), "--data", str(data),
-                     "--quiet"] + flags) == 0
-    _assert_matches(json.loads(capsys.readouterr().out), want)
+                     "--quiet"] + _FLAGS[case]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("case", sorted(_SPHERE_PINS))
+def test_sphere_test_report_matches_its_pin(sphere_inputs, capsys, case):
+    _assert_matches(_report(sphere_inputs, capsys, case), _SPHERE_PINS[case])
+
+
+@pytest.mark.parametrize("case", sorted(_CUBE_PINS))
+def test_cube_test_report_matches_its_pin(cube_inputs, capsys, case):
+    _assert_matches(_report(cube_inputs, capsys, case), _CUBE_PINS[case])
+
+
+def test_cube_calibration_file_matches_its_pin(cube_inputs, tmp_path):
+    out = tmp_path / "mmd.json"
+    assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(cube_inputs[0]),
+                     "--n", "500", "--seed", "3", "--out", str(out), "--quiet"]) == 0
+    got = json.loads(out.read_text())
+    assert len(got.pop("replicates")) == 100000
+    _assert_matches(got, _CUBE_CALIBRATION_PIN, "calibration")
+
+
+def test_reproduce_fig1_rows_match_their_pin(tmp_path):
+    assert cli.main(["reproduce", "fig1", "--scale", "desk", "--seed", "1",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    with open(tmp_path / "power.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    with open(_FIG1, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    assert len(got) == len(want) == 1000
+    for i, (g, w) in enumerate(zip(got, want)):
+        numbers = ("statistic", "threshold")
+        assert ({k: v for k, v in g.items() if k not in numbers}
+                == {k: v for k, v in w.items() if k not in numbers}), i
+        for key in numbers:
+            _assert_matches(float(g[key]), float(w[key]), "row %d.%s" % (i, key))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dists
-from .embedding import adaptive_grid, null_calibration, rho_schedule, statistic
+from .embedding import adaptive_grid, null_calibration, null_key, rho_schedule, statistic
 from .spectrum import SpectralBasis
 
 CSV_HEADER = ["test", "n", "dim", "alternative", "replicate", "reject",
@@ -95,11 +95,16 @@ def _replicate_seed(master: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=tuple(indices))
 
 
-def _calibration_seed(master: int, kind: str, n: Optional[int] = None) -> tuple:
-    """(spawn key, seed) of a calibration: adaptive's null depends on n,
-    the others' do not."""
-    key = (1, n) if kind == "adaptive" else (0,)
-    return key, int(_replicate_seed(master, *key).generate_state(1)[0])
+def _calibration(cache: dict, master: int, kind: str, basis: SpectralBasis,
+                 n: int, alpha: float, reps: Optional[int]) -> cal.NullCalibration:
+    """The calibration of ``kind`` at ``n``, made once per :func:`null_key` in
+    ``cache``, seeded from spawn key (0,) if its null is free of n, else (1, n)."""
+    key = null_key(kind, n)
+    if key not in cache:
+        spawn = (0,) if key[1] is None else (1, key[1])
+        seed = int(_replicate_seed(master, *spawn).generate_state(1)[0])
+        cache[key] = null_calibration(kind, basis, n, alpha, reps=reps, seed=seed)
+    return cache[key]
 
 
 def run_plan(plan: ExperimentPlan) -> PowerTable:
@@ -108,8 +113,8 @@ def run_plan(plan: ExperimentPlan) -> PowerTable:
     Each replicate is drawn from spawn key (2, 0, n, alternative, rep) and
     summarised once, and every test reads that one summary, so the tests'
     rows are paired (common random numbers).  Rows come out in (test, n,
-    alternative, rep) order.  Each distinct calibration is computed once,
-    however many n share it.
+    alternative, rep) order.  Each calibration is computed once per
+    :func:`null_key`, however many n share it.
     """
     basis = plan.basis
     alt_labels = sorted(plan.alternatives)
@@ -123,11 +128,9 @@ def run_plan(plan: ExperimentPlan) -> PowerTable:
             rho = (rho_schedule(n, basis.decay_exponent, plan.theta)
                    if kind == "m3d" else None)
             grid = adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
-            key, seed = _calibration_seed(plan.seed, kind, n)
-            if (kind, key) not in calibrations:
-                calibrations[kind, key] = null_calibration(
-                    kind, basis, n, plan.alpha, reps=reps.get(kind), seed=seed, grid=grid)
-            tests.append((kind, rho, grid, calibrations[kind, key].quantile))
+            thr = _calibration(calibrations, plan.seed, kind, basis, n, plan.alpha,
+                               reps.get(kind)).quantile
+            tests.append((kind, rho, grid, thr))
         for a_idx, label in enumerate(alt_labels):
             spec = plan.alternatives[label]
             for rep in range(plan.reps):
@@ -157,16 +160,16 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
     """Power of ``kind`` against least-favorable alternatives on a (n, delta) grid.
 
     ``deltas`` may be a fixed separation list or a callable n -> list.
-    Returns rows of {"n", "delta", "power"}.  Neither test's null depends on
-    n, so one calibration serves the whole grid.
+    Returns rows of {"n", "delta", "power"}.  Sizes that share a
+    :func:`null_key` share one calibration, as in :func:`run_plan`.
     """
     if kind not in ("mmd", "m3d"):
         raise ValueError("boundary probe supports 'mmd' and 'm3d'")
-    thr = null_calibration(kind, basis, None, alpha,
-                           reps=mmd_calibration_reps if kind == "mmd" else None,
-                           seed=_calibration_seed(seed, kind)[1]).quantile
+    calibrations = {}
     rows = []
     for n_idx, n in enumerate(n_list):
+        thr = _calibration(calibrations, seed, kind, basis, n, alpha,
+                           mmd_calibration_reps if kind == "mmd" else None).quantile
         dgrid = deltas(n) if callable(deltas) else deltas
         rho = rho_schedule(n, s, theta) if kind == "m3d" else None
         for d_idx, delta in enumerate(dgrid):

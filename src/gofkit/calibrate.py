@@ -27,6 +27,8 @@ class NullCalibration:
 
     For Monte-Carlo methods the replicate statistics are kept so that
     p-values are tail fractions consistent with the stored quantile.
+    ``kind``, ``n`` and ``spectrum`` say what the null was made for; the
+    calibrators below leave them unset, ``embedding.null_calibration`` sets them.
     """
 
     method: str  # chisq-mixture-mc | normal | empirical-mc | theory-loglog
@@ -34,7 +36,10 @@ class NullCalibration:
     quantile: float
     reps: Optional[int]
     seed: Optional[int]
-    replicates: Optional[np.ndarray] = None
+    kind: Optional[str] = None
+    n: Optional[int] = None  # None when the null does not depend on n
+    spectrum: Optional[str] = None  # sha256 of the eigenvalues, little-endian f8
+    replicates: Optional[np.ndarray] = None  # last: the file writer streams it
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

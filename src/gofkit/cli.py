@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -152,13 +153,13 @@ def _basis_from_config(cfg: dict):
 
 
 def _calibration_file_chunks(c: cal.NullCalibration):
-    """The calibration file's JSON text, in pieces.
+    """The calibration file's JSON text, in pieces: the record's fields in order.
 
     The C encoder writes the replicates 8192 at a time, so neither all of
     them as Python floats nor the whole text is ever held at once.
     """
-    head = json.dumps({"method": c.method, "alpha": c.alpha, "quantile": c.quantile,
-                       "reps": c.reps, "seed": c.seed, "replicates": None})
+    head = json.dumps({f.name: None if f.name == "replicates" else getattr(c, f.name)
+                       for f in dataclasses.fields(c)})
     if c.replicates is None:
         yield (head + "\n").encode()
         return
@@ -172,11 +173,15 @@ def _calibration_file_chunks(c: cal.NullCalibration):
 def _calibration_from_file(path) -> cal.NullCalibration:
     with open(path) as fh:
         d = json.load(fh)
-    reps = d["replicates"]
-    return cal.NullCalibration(
-        method=d["method"], alpha=d["alpha"], quantile=d["quantile"],
-        reps=d["reps"], seed=d["seed"],
-        replicates=None if reps is None else np.asarray(reps, float))
+    if not {"kind", "n", "spectrum"} <= d.keys():
+        raise CliError("calibration file %s does not record the kind, n and spectrum "
+                       "it was made for (written before gofkit 0.9.0); rerun "
+                       "`gofkit calibrate`" % path)
+    fields = {f.name: d[f.name] for f in dataclasses.fields(cal.NullCalibration)
+              if f.name in d}  # ignores keys of earlier releases, e.g. truncation_bias
+    if fields.get("replicates") is not None:
+        fields["replicates"] = np.asarray(fields["replicates"], float)
+    return cal.NullCalibration(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +198,30 @@ def _cmd_decompose(args) -> int:
 def _cmd_test(args) -> int:
     basis = load_spectrum(args.spectrum)
     sample = Sample.from_csv(args.data)
-
-    calibration = None
-    threshold = "mc"
-    calibrate_reps = None
     if args.calibration is not None:
+        if args.calibrate is not None:
+            raise CliError("--calibration and --calibrate exclude each other")
         calibration = _calibration_from_file(args.calibration)
-    elif args.calibrate is not None:
-        mode, _, arg = args.calibrate.partition(":")
+    else:
+        reps, theory = None, False
+        mode, _, arg = (args.calibrate or "").partition(":")
         if mode == "mc":
             if args.kind == "m3d":
                 raise CliError("m3d is calibrated by the normal quantile; "
                                "--calibrate mc applies to mmd and adaptive")
-            calibrate_reps = int(arg) if arg else None
+            reps = int(arg) if arg else None
         elif mode == "theory":
-            threshold = "theory"
+            theory = True
         elif mode == "normal":
             if args.kind != "m3d":
                 raise CliError("normal calibration applies to the m3d test")
-        else:
+        elif args.calibrate is not None:
             raise CliError("unknown --calibrate mode %r" % args.calibrate)
+        calibration = null_calibration(args.kind, basis, sample.n, args.alpha,
+                                       reps=reps, seed=args.seed, theory=theory)
 
     report = run_test(args.kind, basis, sample, args.alpha,
-                      rho=args.rho, theta=args.theta,
-                      calibration=calibration,
-                      calibrate_reps=calibrate_reps,
-                      seed=args.seed, threshold=threshold)
+                      rho=args.rho, theta=args.theta, calibration=calibration)
     _say(args, report.to_text())
     print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
     return 0

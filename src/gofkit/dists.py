@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .spectrum import SpectralBasis, parse_null_id, sphere_surface_area
+from .spectrum import SpectralBasis, gauss_legendre_01, parse_null_id, sphere_surface_area
 
 _GL_NODES = 256
 
@@ -172,9 +172,8 @@ class _Mapped1D:
         return (_accepted(n, propose) - self.lo) / self.width
 
     def square_integral(self):
-        y, w = np.polynomial.legendre.leggauss(_GL_NODES)
-        y = (y + 1.0) / 2.0
-        return float(np.sum(w / 2.0 * self.pdf01(y) ** 2))
+        q = gauss_legendre_01(_GL_NODES)
+        return float(np.sum(q.weights * self.pdf01(q.nodes[:, 0]) ** 2))
 
 
 def _mapped_mw(name: str) -> _Mapped1D:
@@ -470,9 +469,8 @@ def _chi2_gaussian_mixture(p, d):
     w = np.asarray(p["weights"], float)
     means = np.asarray(p["means"], float)
     scale = float(p.get("scale", 0.05))
-    y, gw = np.polynomial.legendre.leggauss(_GL_NODES)
-    y = (y + 1.0) / 2.0
-    gw = gw / 2.0
+    q = gauss_legendre_01(_GL_NODES)
+    y, gw = q.nodes[:, 0], q.weights
     total = 0.0
     for a in range(w.size):
         for b in range(w.size):

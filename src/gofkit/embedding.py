@@ -1,8 +1,9 @@
 """Test statistics: MMD, moderated MMD, studentization and the adaptive maximum."""
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -79,9 +80,7 @@ class TestReport:
     reject: bool
     p_value: Optional[float]
     alpha: float
-    calibration_method: str
-    calibration_reps: Optional[int]
-    calibration_seed: Optional[int]
+    calibration: cal.NullCalibration = field(compare=False, repr=False)
     parameters: dict
 
     def __post_init__(self):
@@ -91,26 +90,23 @@ class TestReport:
             raise ValueError("p-value inconsistent with decision")
 
     def to_dict(self) -> dict:
-        out = {
+        c = self.calibration
+        return {
             "kind": self.kind,
             "statistic": self.statistic,
             "threshold": self.threshold,
             "reject": self.reject,
             "p_value": self.p_value,
             "alpha": self.alpha,
-            "calibration": {
-                "method": self.calibration_method,
-                "reps": self.calibration_reps,
-                "seed": self.calibration_seed,
-            },
+            "calibration": {"method": c.method, "reps": c.reps, "seed": c.seed},
             "parameters": {
                 k: (v.tolist() if isinstance(v, np.ndarray) else v)
                 for k, v in self.parameters.items()
             },
         }
-        return out
 
     def to_text(self) -> str:
+        c = self.calibration
         lines = [
             "kind: %s" % self.kind,
             "statistic: %.10g" % self.statistic,
@@ -118,8 +114,7 @@ class TestReport:
             "p_value: %s" % ("n/a" if self.p_value is None else "%.6g" % self.p_value),
             "reject: %s" % self.reject,
             "alpha: %g" % self.alpha,
-            "calibration: %s (reps=%s, seed=%s)"
-            % (self.calibration_method, self.calibration_reps, self.calibration_seed),
+            "calibration: %s (reps=%s, seed=%s)" % (c.method, c.reps, c.seed),
         ]
         for k, v in sorted(self.parameters.items()):
             lines.append("%s: %s" % (k, v))
@@ -254,39 +249,54 @@ def statistic(kind: str, basis: SpectralBasis, summary: SampleSummary, *,
     raise ValueError("unknown test kind: %r" % kind)
 
 
-def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: float, *,
-                     reps: Optional[int] = None, seed: Optional[int] = None,
-                     grid: Optional[RhoGrid] = None,
-                     theory: bool = False) -> cal.NullCalibration:
-    """Null calibration of test ``kind`` at sample size ``n``: chi-square-
-    mixture MC for mmd (independent of n), the normal quantile for m3d, and
-    empirical MC over null samples for adaptive (or, with ``theory``, the
-    sqrt(3 log log n) threshold).  ``reps=None`` takes the calibrator's
-    default; Monte-Carlo needs a seed."""
+def null_key(kind: str, n: Optional[int]) -> tuple:
+    """What the null of test ``kind`` at sample size ``n`` depends on besides
+    the spectrum and alpha: n MMD^2 tends to sum_k lambda_k Z_k^2 and the
+    studentized statistic to N(0,1) whatever n is, while the adaptive
+    maximum's grid and threshold move with n."""
     if kind not in ("mmd", "m3d", "adaptive"):
         raise ValueError("unknown test kind: %r" % kind)
+    return kind, (n if kind == "adaptive" else None)
+
+
+def spectrum_digest(basis: SpectralBasis) -> str:
+    """sha256 of the basis's eigenvalues as little-endian float64."""
+    lam = np.ascontiguousarray(basis.eigenvalues, dtype="<f8")
+    return hashlib.sha256(lam.tobytes()).hexdigest()
+
+
+def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: float, *,
+                     reps: Optional[int] = None, seed: Optional[int] = None,
+                     theory: bool = False) -> cal.NullCalibration:
+    """Null calibration of test ``kind`` at sample size ``n``, stamped with its
+    :func:`null_key` and :func:`spectrum_digest`: chi-square-mixture MC for
+    mmd, the normal quantile for m3d, and empirical MC over null samples for
+    adaptive (or, with ``theory``, the sqrt(3 log log n) threshold).
+    ``reps=None`` takes the calibrator's default; Monte-Carlo needs a seed."""
+    kind, key_n = null_key(kind, n)
     if theory:
         if kind != "adaptive":
             raise ValueError("theory calibration applies to the adaptive test")
-        return cal.NullCalibration(method="theory-loglog", alpha=alpha,
-                                   quantile=theory_threshold(n), reps=None, seed=None)
-    if kind == "m3d":
+        c = cal.NullCalibration(method="theory-loglog", alpha=alpha,
+                                quantile=theory_threshold(n), reps=None, seed=None)
+    elif kind == "m3d":
         if reps is not None:
             raise ValueError("m3d is calibrated by the normal quantile; a "
                              "Monte-Carlo rep count applies to mmd and adaptive")
-        return cal.normal_calibration(alpha)
-    if seed is None:
+        c = cal.normal_calibration(alpha)
+    elif seed is None:
         raise ValueError("Monte-Carlo calibration requires a seed (--seed)")
-    if kind == "mmd":
-        return cal.chisq_mix_quantile(
+    elif kind == "mmd":
+        c = cal.chisq_mix_quantile(
             basis.eigenvalues, alpha,
             reps=cal.CHISQ_REPS if reps is None else reps, seed=seed)
-    if grid is None:
+    else:
         grid = adaptive_grid(n, basis.decay_exponent)
-    return cal.empirical_null_quantile(
-        lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
-        dists.null_sampler(basis.null_id),
-        n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
+        c = cal.empirical_null_quantile(
+            lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
+            dists.null_sampler(basis.null_id),
+            n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
+    return replace(c, kind=kind, n=key_n, spectrum=spectrum_digest(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +306,26 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
 def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
              rho: Optional[float] = None,
              theta: Optional[float] = None,
-             grid: Optional[RhoGrid] = None,
-             calibration=None,
-             calibrate_reps: Optional[int] = None,
-             seed: Optional[int] = None,
-             threshold: str = "mc") -> TestReport:
+             calibration: Optional[cal.NullCalibration] = None) -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
     m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`;
-    adaptive takes ``grid`` or uses :func:`adaptive_grid`.  ``calibration``
-    may be a precomputed NullCalibration; otherwise :func:`null_calibration`
-    builds one from ``calibrate_reps`` and ``seed`` (``threshold='theory'``
-    selects the adaptive test's theory threshold, ``'mc'`` the default).
+    adaptive uses :func:`adaptive_grid`.  ``calibration`` is a
+    :func:`null_calibration` made for this kind, n, alpha and spectrum
+    (ValueError otherwise); without one, ``null_calibration(kind, basis, n,
+    alpha)`` is used, which only m3d can build without a seed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if threshold not in ("mc", "theory"):
-        raise ValueError("threshold must be 'mc' or 'theory', got %r" % threshold)
     n = sample.n
+    if calibration is None:
+        calibration = null_calibration(kind, basis, n, alpha)
+    want = dict(zip(("kind", "n"), null_key(kind, n)), alpha=alpha,
+                spectrum=spectrum_digest(basis))
+    diff = ["%s %s (calibration) != %s (test)" % (k, getattr(calibration, k), v)
+            for k, v in want.items() if getattr(calibration, k) != v]
+    if diff:
+        raise ValueError("the calibration was made for another test: " + "; ".join(diff))
     params: dict = {"K": basis.truncation, "alpha": alpha}
     if kind == "m3d":
         if rho is None:
@@ -323,18 +335,13 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
         params["rho"] = rho
     summary = basis.summary(sample.points)
     if kind == "adaptive":
-        if grid is None:
-            grid = adaptive_grid(n, basis.decay_exponent)
+        grid = adaptive_grid(n, basis.decay_exponent)
         best = _adaptive(basis, grid, summary)
         stat = best.value
         params.update(rho_star=grid.rho_star, m_star=grid.m_star,
                       argmax_rho=best.argmax_rho, theory_threshold=theory_threshold(n))
     else:
         stat = statistic(kind, basis, summary, rho=rho)
-    if calibration is None:
-        calibration = null_calibration(kind, basis, n, alpha, reps=calibrate_reps,
-                                       seed=seed, grid=grid,
-                                       theory=threshold == "theory")
     thr = calibration.quantile
     return TestReport(
         kind=kind,
@@ -343,8 +350,6 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
         reject=bool(stat > thr),
         p_value=calibration.p_value(stat),
         alpha=alpha,
-        calibration_method=calibration.method,
-        calibration_reps=calibration.reps,
-        calibration_seed=calibration.seed,
+        calibration=calibration,
         parameters=params,
     )

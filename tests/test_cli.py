@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gofkit import cli
+from gofkit.embedding import null_calibration
+from gofkit.spectrum import load_spectrum
 
 
 @pytest.fixture()
@@ -205,7 +210,8 @@ def test_calibration_file_is_the_json_of_its_fields(spectrum_file, tmp_path, kin
             "--seed", "4", "--out", str(out), "--quiet"]
     assert cli.main(args + (["--reps", str(reps)] if reps else [])) == 0
     fields = json.loads(out.read_text())
-    assert list(fields) == ["method", "alpha", "quantile", "reps", "seed", "replicates"]
+    assert list(fields) == ["method", "alpha", "quantile", "reps", "seed", "kind", "n",
+                            "spectrum", "replicates"]
     assert out.read_text() == json.dumps(fields) + "\n"
     assert (fields["replicates"] is None) == (reps is None)
 
@@ -478,6 +484,102 @@ def test_calibration_file_has_no_truncation_bias(centered_file, data_file, tmp_p
     assert cli.main(["test", "--kind", "mmd", "--spectrum", str(centered_file),
                      "--data", str(data_file), "--calibration", str(out), "--quiet"]) == 0
     assert json.loads(capsys.readouterr().out)["threshold"] == record["quantile"]
+
+
+# ---------------------------------------------------------------------------
+# a calibration file records the kind, n, alpha and spectrum it was made for
+
+
+def _calibrate(spec, out, kind, n=200, alpha=0.05):
+    argv = ["calibrate", "--kind", kind, "--spectrum", str(spec), "--n", str(n),
+            "--alpha", str(alpha), "--seed", "3", "--out", str(out), "--quiet"]
+    assert cli.main(argv + ([] if kind == "m3d" else ["--reps", "100"])) == 0
+    return out
+
+
+def _test_with(spec, data, cal_file, kind, *flags):
+    return cli.main(["test", "--kind", kind, "--spectrum", str(spec), "--data", str(data),
+                     "--calibration", str(cal_file), "--quiet", *flags])
+
+
+def test_an_mmd_calibration_cannot_decide_an_m3d_test(centered_file, data_file, tmp_path,
+                                                       capsys):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd")
+    assert _test_with(centered_file, data_file, cal_file, "m3d", "--theta", "0") == 1
+    captured = capsys.readouterr()
+    assert "kind mmd (calibration) != m3d (test)" in captured.err and captured.out == ""
+
+
+def test_a_calibration_keeps_its_alpha(centered_file, data_file, tmp_path, capsys):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd", alpha=0.05)
+    assert _test_with(centered_file, data_file, cal_file, "mmd", "--alpha", "0.01") == 1
+    captured = capsys.readouterr()
+    assert "alpha 0.05 (calibration) != 0.01 (test)" in captured.err and captured.out == ""
+
+
+def test_an_adaptive_calibration_keeps_its_n(centered_file, data_file, tmp_path, capsys):
+    # the adaptive null moves with n; data_file holds 200 points
+    cal_file = _calibrate(centered_file, tmp_path / "adaptive.cal", "adaptive", n=100)
+    assert _test_with(centered_file, data_file, cal_file, "adaptive") == 1
+    captured = capsys.readouterr()
+    assert "n 100 (calibration) != 200 (test)" in captured.err and captured.out == ""
+
+
+def test_a_calibration_keeps_its_spectrum(centered_file, data_file, tmp_path, capsys):
+    wide = tmp_path / "k64.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "64", "--nodes", "256", "--center", "--out", str(wide),
+                     "--quiet"]) == 0
+    cal_file = _calibrate(wide, tmp_path / "mmd.cal", "mmd")
+    assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    captured = capsys.readouterr()
+    made_for = json.loads(cal_file.read_text())["spectrum"]
+    assert "spectrum %s (calibration) != " % made_for in captured.err
+    assert captured.out == ""
+
+
+def test_a_calibration_file_from_before_0_9_is_refused(centered_file, data_file, tmp_path,
+                                                       capsys):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd")
+    record = json.loads(cal_file.read_text())
+    for key in ("kind", "n", "spectrum"):
+        del record[key]
+    cal_file.write_text(json.dumps(record))
+    assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    assert "rerun `gofkit calibrate`" in capsys.readouterr().err
+
+
+def test_calibration_file_and_calibrate_mode_exclude_each_other(centered_file, data_file,
+                                                                tmp_path, capsys):
+    cal_file = _calibrate(centered_file, tmp_path / "adaptive.cal", "adaptive")
+    assert _test_with(centered_file, data_file, cal_file, "adaptive",
+                      "--calibrate", "theory") == 1
+    assert "exclude each other" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("roundtrip")
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "16", "--nodes", "128", "--center",
+                     "--out", str(d / "s.spec"), "--quiet"]) == 0
+    return d
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["mmd", "m3d", "adaptive"]), n=st.integers(16, 64),
+       alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]))
+def test_a_calibration_file_reads_back_as_its_record(roundtrip_dir, kind, n, alpha):
+    spec = roundtrip_dir / "s.spec"
+    got = cli._calibration_from_file(_calibrate(spec, roundtrip_dir / "c.cal", kind, n, alpha))
+    want = null_calibration(kind, load_spectrum(spec), n, alpha,
+                            reps=None if kind == "m3d" else 100, seed=3)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "replicates" and b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is type(b) and a == b, f.name
 
 
 def test_both_sphere_kernel_readers_share_one_parser(tmp_path, capsys):

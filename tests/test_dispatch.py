@@ -78,7 +78,8 @@ def test_every_caller_gets_the_same_threshold(kind, centered_spec, tmp_path, mad
     assert null_calibration(kind, basis, N, ALPHA, reps=reps, seed=seed).quantile == want
     x = np.random.default_rng(1).random(N)
     report = run_test(kind, basis, Sample(x), ALPHA, theta=0.0,
-                      calibrate_reps=reps, seed=seed)
+                      calibration=null_calibration(kind, basis, N, ALPHA, reps=reps,
+                                                   seed=seed))
     assert report.threshold == want
 
     plan = ExperimentPlan(
@@ -115,7 +116,7 @@ def test_one_chisq_calibration_per_plan_and_per_probe(made):
     assert len(made) == 1
 
 
-def test_statistic_and_calibration_reject_bad_requests():
+def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, capsys):
     basis = cosine_basis(16)
     sample = Sample(np.full(20, 0.5))
     with pytest.raises(ValueError, match="kind"):
@@ -129,12 +130,14 @@ def test_statistic_and_calibration_reject_bad_requests():
         null_calibration("adaptive", basis, 20, ALPHA)
     with pytest.raises(ValueError, match="normal quantile"):
         null_calibration("m3d", basis, 20, ALPHA, reps=500, seed=1)
-    with pytest.raises(ValueError, match="normal quantile"):
-        run_test("m3d", basis, sample, ALPHA, rho=0.1, calibrate_reps=500, seed=1)
 
-    for typo in ("thoery", "normal", "MC"):
-        with pytest.raises(ValueError, match="threshold"):
-            run_test("adaptive", basis, sample, ALPHA, seed=1, threshold=typo)
+    data = tmp_path / "x.csv"
+    np.savetxt(data, sample.points, delimiter=",")
+    for typo, err in (("thoery", "unknown --calibrate mode"), ("MC", "unknown --calibrate mode"),
+                      ("normal", "applies to the m3d test")):
+        assert cli.main(["test", "--kind", "adaptive", "--spectrum", str(centered_spec),
+                         "--data", str(data), "--seed", "1", "--calibrate", typo]) == 1
+        assert err in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gofkit import calibrate as cal
 from gofkit import embedding, kernels
 from gofkit.dists import null_sampler
 from gofkit.embedding import (
@@ -18,6 +19,7 @@ from gofkit.embedding import (
     eta_sq,
     eta_sq_gram,
     mmd_vstat,
+    null_calibration,
     rho_schedule,
     run_test,
     statistic,
@@ -377,7 +379,8 @@ def test_run_test_evaluates_the_adaptive_grid_once(monkeypatch):
         return real(basis, summary, rhos)
 
     monkeypatch.setattr(embedding, "_studentized", spy)
-    report = run_test("adaptive", basis, sample, 0.05, threshold="theory")
+    report = run_test("adaptive", basis, sample, 0.05, calibration=null_calibration(
+        "adaptive", basis, sample.n, 0.05, theory=True))
     grid = adaptive_grid(sample.n, basis.decay_exponent)
     assert calls == [grid.values.size]
     best = adaptive_stat(basis, grid, sample)
@@ -422,7 +425,8 @@ def test_run_test_mmd_chisq_threshold():
             math.pi * np.atleast_2d(np.asarray(X, float))[:, :1]),
         null_id="uniform-cube-1", degenerate=True)
     sample = Sample(np.random.default_rng(0).random(100))
-    report = run_test("mmd", basis, sample, 0.05, seed=3, calibrate_reps=200000)
+    report = run_test("mmd", basis, sample, 0.05, calibration=null_calibration(
+        "mmd", basis, sample.n, 0.05, reps=200000, seed=3))
     assert report.threshold == pytest.approx(3.8415, abs=0.1)
     assert report.kind == "mmd"
 
@@ -437,7 +441,8 @@ def test_run_test_m3d_half_alpha():
 def test_run_test_adaptive_theory_threshold():
     basis = cosine_basis(32)
     sample = Sample(np.random.default_rng(2).random(1000))
-    report = run_test("adaptive", basis, sample, 0.05, threshold="theory")
+    report = run_test("adaptive", basis, sample, 0.05, calibration=null_calibration(
+        "adaptive", basis, sample.n, 0.05, theory=True))
     assert report.threshold == pytest.approx(2.4079, abs=1e-4)
     assert report.parameters["theory_threshold"] == report.threshold
 
@@ -451,6 +456,15 @@ def test_run_test_mc_requires_seed():
         run_test("adaptive", basis, sample, 0.05)
 
 
+def test_run_test_refuses_a_calibration_it_cannot_check():
+    # a calibrator's raw output records neither kind nor spectrum
+    basis = cosine_basis(16)
+    sample = Sample(np.random.default_rng(3).random(40))
+    with pytest.raises(ValueError, match="kind None \\(calibration\\) != m3d"):
+        run_test("m3d", basis, sample, 0.05, rho=0.1,
+                 calibration=cal.normal_calibration(0.05))
+
+
 def test_run_test_unknown_kind():
     basis = cosine_basis(16)
     with pytest.raises(ValueError, match="kind"):
@@ -460,12 +474,12 @@ def test_run_test_unknown_kind():
 def test_report_invariants_enforced():
     with pytest.raises(ValueError, match="decision"):
         TestReport(kind="mmd", statistic=1.0, threshold=2.0, reject=True,
-                   p_value=None, alpha=0.05, calibration_method="normal",
-                   calibration_reps=None, calibration_seed=None, parameters={})
+                   p_value=None, alpha=0.05, calibration=cal.normal_calibration(0.05),
+                   parameters={})
     with pytest.raises(ValueError, match="p-value"):
         TestReport(kind="mmd", statistic=3.0, threshold=2.0, reject=True,
-                   p_value=0.5, alpha=0.05, calibration_method="normal",
-                   calibration_reps=None, calibration_seed=None, parameters={})
+                   p_value=0.5, alpha=0.05, calibration=cal.normal_calibration(0.05),
+                   parameters={})
 
 
 def test_report_serialization_roundtrip():

@@ -11,7 +11,10 @@ outputs updates its pin in the same diff and says so in CHANGES.md.
   eigenfunctions per degree).
 - Cube reports and the `calibrate` quantile on a centered cosine-ref
   spectrum: the values 0.7.0 wrote.  Its eigenvalues are all distinct, so
-  the chi-square draws of 0.8.0 are bit-identical.
+  the chi-square draws of 0.8.0 are bit-identical.  0.9.0 added the keys
+  `kind`, `n` and `spectrum` to the calibration file and left its quantile
+  as it was; the spectrum digest is checked against the loaded spectrum
+  rather than pinned, since it covers the eigenvalues' last bits.
 - `reproduce fig1 --scale desk --seed 1` rows, from `golden/`: written by
   0.8.0; the m3d rows are those of 0.7.0.
 """
@@ -22,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gofkit import cli
+from gofkit import cli, load_spectrum
+from gofkit.embedding import spectrum_digest
 
 _RTOL = 1e-12
 _FIG1 = Path(__file__).parent / "golden" / "fig1_desk_seed1.csv"
@@ -133,7 +137,8 @@ _CUBE_PINS = {
 
 # `gofkit calibrate --kind mmd --n 500 --seed 3` on the cube spectrum
 _CUBE_CALIBRATION_PIN = {"method": "chisq-mixture-mc", "alpha": 0.05,
-                         "quantile": 0.4621277422924189, "reps": 100000, "seed": 3}
+                         "quantile": 0.4621277422924189, "reps": 100000, "seed": 3,
+                         "kind": "mmd", "n": None}
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,7 @@ def test_cube_calibration_file_matches_its_pin(cube_inputs, tmp_path):
                      "--n", "500", "--seed", "3", "--out", str(out), "--quiet"]) == 0
     got = json.loads(out.read_text())
     assert len(got.pop("replicates")) == 100000
+    assert got.pop("spectrum") == spectrum_digest(load_spectrum(cube_inputs[0]))
     _assert_matches(got, _CUBE_CALIBRATION_PIN, "calibration")
 
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 # default Monte-Carlo sizes: chi-square-mixture draws (mmd) and null
 # replications of the statistic (adaptive)
@@ -50,7 +50,7 @@ class NullCalibration:
     def p_value(self, statistic: float) -> Optional[float]:
         """Upper-tail p-value; None when the method admits none."""
         if self.method == "normal":
-            return float(special.ndtr(-statistic))
+            return normal_cdf(-statistic)
         if self.replicates is not None:
             # plain tail fraction: exactly consistent with the stored
             # ceil((1-alpha) reps) order-statistic threshold
@@ -65,11 +65,19 @@ def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
     return float(values[idx - 1])
 
 
+def normal_cdf(x: float) -> float:
+    """Phi(x) of the standard normal.  Through erfc, not the 1 + erf of
+    ``NormalDist.cdf``, so the lower tail keeps its relative accuracy: an
+    upper-tail p-value Phi(-z) is good to ~1e-14 relative out to z = 37,
+    where 1 + erf rounds to 0 from z = 8.4."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def normal_quantile(alpha: float) -> float:
-    """z_{1-alpha} of the standard normal (Cephes ndtri rational approximation)."""
+    """z_{1-alpha} of the standard normal (Wichura's AS241 rational approximation)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return float(special.ndtri(1.0 - alpha))
+    return NormalDist().inv_cdf(1.0 - alpha)
 
 
 def normal_calibration(alpha: float) -> NullCalibration:

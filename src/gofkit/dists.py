@@ -1,4 +1,4 @@
-"""Null and alternative distributions: samplers, densities, divergences.
+"""Null and alternative distributions: samplers and densities.
 
 Cube alternatives are product densities on [0,1]^d built from named 1-D
 mixtures of normals (affinely mapped from their +-3 sigma range and
@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
-from .spectrum import SpectralBasis, gauss_legendre_01, parse_null_id, sphere_surface_area
-
-_GL_NODES = 256
+from .calibrate import normal_cdf
+from .spectrum import SpectralBasis, parse_null_id, sphere_surface_area
 
 
 @dataclass
@@ -150,8 +148,7 @@ class _Mapped1D:
         self.lo = float(np.min(mu - 3.0 * sd))
         self.hi = float(np.max(mu + 3.0 * sd))
         self.width = self.hi - self.lo
-        z = special.ndtr((self.hi - mu) / sd) - special.ndtr((self.lo - mu) / sd)
-        self.mass = float(np.sum(w * z))
+        self.mass = float(np.sum(w * _normal_mass((self.lo - mu) / sd, (self.hi - mu) / sd)))
 
     def pdf01(self, y):
         y = np.asarray(y, float)
@@ -171,10 +168,6 @@ class _Mapped1D:
 
         return (_accepted(n, propose) - self.lo) / self.width
 
-    def square_integral(self):
-        q = gauss_legendre_01(_GL_NODES)
-        return float(np.sum(q.weights * self.pdf01(q.nodes[:, 0]) ** 2))
-
 
 def _mapped_mw(name: str) -> _Mapped1D:
     return _Mapped1D(*_mw_components(name))
@@ -188,6 +181,8 @@ def vmf_log_const(d: int, kappa: float) -> float:
     if kappa == 0:
         return -math.log(sphere_surface_area(d))
     nu = d / 2.0 - 1.0
+    from scipy import special  # imported here: ~0.2 s and 19 MB no decision needs
+
     # ive = I_nu(kappa) * exp(-kappa)
     log_bessel = math.log(special.ive(nu, kappa)) + kappa
     return nu * math.log(kappa) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel
@@ -195,6 +190,8 @@ def vmf_log_const(d: int, kappa: float) -> float:
 
 def watson_const(d: int, kappa: float) -> float:
     """C_W(kappa) = Gamma(d/2) / (2 pi^{d/2} M(1/2, d/2, kappa))."""
+    from scipy import special
+
     m = float(special.hyp1f1(0.5, d / 2.0, kappa))
     return math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0) * m)
 
@@ -400,8 +397,14 @@ def _gaussian_mixture_mass(w, means, scale) -> float:
     """sum_j w_j P(N(mean_j, scale^2 I) in [0,1]^d): the sampler keeps a
     whole-mixture draw only inside the cube, so its law is the mixture
     divided by this mass."""
-    z = special.ndtr((1.0 - means) / scale) - special.ndtr((0.0 - means) / scale)
+    z = _normal_mass((0.0 - means) / scale, (1.0 - means) / scale)
     return float(w @ np.prod(z, axis=1))
+
+
+def _normal_mass(lo, hi) -> np.ndarray:
+    """P(lo <= Z <= hi) for a standard normal Z, elementwise."""
+    phi = np.vectorize(normal_cdf, otypes=[float])
+    return phi(hi) - phi(lo)
 
 
 def _density_gaussian_mixture(p, x, d):
@@ -435,57 +438,6 @@ def make_gaussian_mixture_spec(d: int, seed=None, *, n_components: int = 5,
         params={"weights": np.full(n_components, 1.0 / n_components),
                 "means": means, "scale": scale,
                 "uniform_weight": uniform_weight})
-
-
-# ---------------------------------------------------------------------------
-# chi-square divergence
-
-
-def chi_square_divergence(spec: AlternativeSpec) -> float:
-    """chi^2(P, P0) = int (dP/dP0)^2 dP0 - 1 against the family's null."""
-    fam, d, p = spec.family, spec.dim, spec.params
-    if fam == "spectral":
-        a = np.asarray(p["coefficients"], float)
-        return float(np.sum(a * a))
-    if fam in ("uniform-cube", "uniform-sphere"):
-        return 0.0
-    if fam.startswith("marron-wand:"):
-        m = _mapped_mw(fam.split(":", 1)[1])
-        return m.square_integral() ** d - 1.0
-    if fam == "gaussian-mixture":
-        return _chi2_gaussian_mixture(p, d)
-    if fam == "vmf":
-        k = p["kappa"]
-        log_ratio = 2.0 * vmf_log_const(d, k) - vmf_log_const(d, 2.0 * k)
-        return math.exp(math.log(sphere_surface_area(d)) + log_ratio) - 1.0
-    if fam == "watson":
-        k = p["kappa"]
-        ratio = watson_const(d, k) ** 2 / watson_const(d, 2.0 * k)
-        return sphere_surface_area(d) * ratio - 1.0
-    raise ValueError("no quadrature path for family %r" % fam)
-
-
-def _chi2_gaussian_mixture(p, d):
-    w = np.asarray(p["weights"], float)
-    means = np.asarray(p["means"], float)
-    scale = float(p.get("scale", 0.05))
-    q = gauss_legendre_01(_GL_NODES)
-    y, gw = q.nodes[:, 0], q.weights
-    total = 0.0
-    for a in range(w.size):
-        for b in range(w.size):
-            prod = 1.0
-            for j in range(d):
-                fa = np.exp(-0.5 * ((y - means[a, j]) / scale) ** 2) \
-                    / (scale * math.sqrt(2 * math.pi))
-                fb = np.exp(-0.5 * ((y - means[b, j]) / scale) ** 2) \
-                    / (scale * math.sqrt(2 * math.pi))
-                prod *= float(np.sum(gw * fa * fb))
-            total += w[a] * w[b] * prod
-    total /= _gaussian_mixture_mass(w, means, scale) ** 2
-    u = float(p.get("uniform_weight", 0.0))
-    # chi^2 of u + (1-u) f against uniform scales by (1-u)^2
-    return (1.0 - u) ** 2 * (total - 1.0)
 
 
 # ---------------------------------------------------------------------------

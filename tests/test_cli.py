@@ -43,13 +43,39 @@ def test_help_all_subcommands(capsys):
         assert "--" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate alone loads some 300 modules and 25 MB into every run
+def test_import_leaves_scipy_integrate_unloaded(spectrum_file, data_file, tmp_path):
+    # scipy.integrate alone loads some 300 modules and 25 MB into every run,
+    # scipy.special 0.2 s of CPU and 19 MB; no decision needs either, and
+    # only decompose on a sphere and the vMF and Watson densities import scipy
+    sphere_spec, sphere_data = tmp_path / "s2.spec", tmp_path / "s2.csv"
+    assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
+                     "uniform-sphere-3", "--trunc", "8", "--nodes", "64",
+                     "--out", str(sphere_spec), "--quiet"]) == 0
+    x = np.random.default_rng(0).standard_normal((200, 3))
+    np.savetxt(sphere_data, x / np.linalg.norm(x, axis=1, keepdims=True), delimiter=",")
+    cube = ["--spectrum", str(spectrum_file), "--data", str(data_file), "--quiet"]
+    runs = [
+        ["test", "--kind", "mmd", "--seed", "1", "--calibrate", "mc:1000", *cube],
+        ["test", "--kind", "m3d", "--theta", "0", *cube],
+        ["test", "--kind", "adaptive", "--calibrate", "theory", *cube],
+        ["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(sphere_spec),
+         "--data", str(sphere_data), "--quiet"],
+        ["calibrate", "--kind", "mmd", "--spectrum", str(spectrum_file), "--n", "200",
+         "--reps", "1000", "--seed", "1", "--out", str(tmp_path / "c.cal"), "--quiet"],
+    ]
+    code = ("import json, sys\n"
+            "def scipy(): return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+            "from gofkit import cli\n"
+            "seen = [scipy()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([cli.main(argv), scipy()])\n"
+            "print(json.dumps(seen))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, gofkit; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "False\n"
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [[]] + [[0, []]] * len(runs)
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -297,6 +323,18 @@ def test_config_file_supplies_defaults(spectrum_file, data_file, tmp_path,
     record = json.loads(capsys.readouterr().out.strip())
     assert record["alpha"] == pytest.approx(0.1)
     assert record["parameters"]["rho"] == pytest.approx(0.1)
+
+
+def test_a_config_file_does_not_reach_the_next_call(spectrum_file, data_file, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.1}))
+    argv = ["test", "--kind", "m3d", "--spectrum", str(spectrum_file),
+            "--data", str(data_file), "--rho", "0.1", "--quiet"]
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.1
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.05
 
 
 @pytest.fixture()

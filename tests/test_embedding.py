@@ -1,5 +1,7 @@
 """Tests for the MMD / moderated-MMD statistics and the adaptive maximum."""
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from gofkit.spectrum import (
     cosine_basis,
     effective_variance,
     gauss_legendre_01,
+    moderate,
+    moderated_variance,
     nystrom_decompose,
     sphere_zonal_spectrum,
     tensor_product_basis,
@@ -194,6 +198,45 @@ def test_studentized_null_moments():
                       for _ in range(500)])
     assert abs(stats.mean()) <= 0.1
     assert 0.8 <= stats.var() <= 1.2
+
+
+@functools.cache
+def _sphere5():
+    # gaussian-sphere:1.0 on S^5 to degree 20: K = 14,755 in 13 degree blocks
+    return sphere_zonal_spectrum(kernels.zonal_profile("gaussian-sphere:1.0"), 6, 20,
+                                 quad_points=96)
+
+
+@pytest.mark.parametrize("name", ["tensor", "sphere2", "sphere5", "cosine"])
+def test_moderated_variance_over_runs_is_the_k_sum(name):
+    basis = {
+        "tensor": lambda: tensor_product_basis(cosine_basis(32), 5, 256),
+        "sphere2": lambda: sphere_zonal_spectrum(
+            kernels.zonal_profile("gaussian-sphere:1.0"), 3, 20),
+        "sphere5": _sphere5,
+        "cosine": lambda: cosine_basis(128),
+    }[name]()
+    rhos = adaptive_grid(500, 1.0).values
+    mod = moderate(basis.eigenvalues, rhos[:, None])
+    k_sum = (mod * mod).sum(axis=1)
+    v = moderated_variance(basis.eigenvalues, rhos)
+    if name == "cosine":  # no ties: the same terms in the same order
+        assert np.array_equal(v, k_sum)
+    else:
+        assert np.abs(v / k_sum - 1.0).max() <= 1e-13
+
+
+def test_studentized_memory_follows_the_degree_blocks_not_k():
+    basis, n = _sphere5(), 500
+    x = null_sampler(basis.null_id)(n, np.random.default_rng(3))
+    summary, grid = basis.summary(x), adaptive_grid(n, basis.decay_exponent)
+    tracemalloc.start()
+    try:
+        embedding._studentized(basis, summary, grid.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a (grid x K) array would take 56 x 14,755 x 8 = 6.6 MB
 
 
 def test_scale_coupling_identity():

@@ -9,6 +9,7 @@ matrix instead.
 """
 from __future__ import annotations
 
+import collections
 import math
 import os
 import struct
@@ -660,17 +661,21 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
                           include_degree_zero: bool = False) -> SphereZonalBasis:
     """Funk-Hecke eigenvalues of a zonal kernel g(<x, y>) on S^{d-1}.
 
-    Degree-k eigenvalues come from Gauss-Jacobi quadrature of g against
-    normalized Gegenbauer polynomials under weight (1-t^2)^{(d-3)/2}; the
-    degree-0 (constant) block is dropped unless requested, which makes the
-    basis degenerate under the uniform null.  The eigenvalues must agree
-    with those of a rule twice as fine to 1e-10 of the largest.
+    Degree-k eigenvalues are lambda_k = E[g(T) R_k(T)], where T = <x, e> for
+    x uniform on S^{d-1} has density proportional to (1-t^2)^{(d-3)/2} and
+    R_k is the Gegenbauer polynomial with R_k(1) = 1; the expectation is a
+    Gauss rule for that law (:func:`_gegenbauer_gauss`).  The degree-0
+    (constant) block is dropped unless requested, which makes the basis
+    degenerate under the uniform null.  The eigenvalues must agree with
+    those of a rule twice as fine to 1e-10 of the largest.
     """
     if d < 3:
         raise ValueError("ambient dimension must be at least 3")
     if degree_max < 0:
         raise ValueError("degree_max must be nonnegative")
     q = quad_points or max(2 * degree_max + 32, 64)
+    if q < 1:
+        raise ValueError("the quadrature needs a positive node count, got %d" % q)
     coarse = _funk_hecke(profile, d, degree_max, q)
     fine = _funk_hecke(profile, d, degree_max, 2 * q)
     scale = max(np.abs(fine).max(), 1e-300)
@@ -687,16 +692,53 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
 
 
 def _funk_hecke(profile, d, degree_max, q):
-    from scipy import special  # imported here: ~0.2 s and 19 MB no decision needs
-
-    alpha = (d - 3) / 2.0
-    t, w = special.roots_jacobi(q, alpha, alpha)
+    t, w = _gegenbauer_gauss(d, q)
     wg = w * np.asarray(profile(t), dtype=float)
-    ratio = math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
     lam = np.empty(degree_max + 1)
     for k, ck in _normalized_gegenbauer(t, (d - 2) / 2.0, degree_max):
-        lam[k] = ratio * float(wg @ ck)
+        lam[k] = float(wg @ ck)
     return lam
+
+
+def _gegenbauer_gauss(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """q-node Gauss rule for T = <x, e>, x uniform on S^{d-1}: ascending nodes
+    t on [-1, 1] and probability weights w, exact for polynomials of degree
+    below 2q under the density proportional to (1-t^2)^{(d-3)/2}.
+
+    Golub & Welsch (1969, Math. Comp. 23): the nodes are the eigenvalues of
+    the Jacobi matrix J of the monic recurrence p_{k+1} = t p_k - beta_k
+    p_{k-1}.  J has a zero diagonal, so J^2 couples only rows of equal
+    parity; its even rows form a tridiagonal matrix of order ceil(q/2) whose
+    eigenvalues are the squares of the nonnegative nodes.  One Newton step on
+    R_q refines them, with (1-t^2) R_q'(t) = q (R_{q-1}(t) - t R_q(t)).  Since
+    N(d, k) R_k are orthonormal under the law of T, the weights are the
+    Christoffel numbers 1 / sum_{k<q} N(d, k) R_k(t)^2.  Both passes step
+    :func:`_normalized_gegenbauer` over the ceil(q/2) nonnegative nodes only,
+    in O(q) memory; the rule is mirrored about 0.
+    """
+    nu = (d - 2) / 2.0
+    k = np.arange(1.0, q)
+    beta = np.zeros(q + 1)  # beta_0 = beta_q = 0 pad the ends of J
+    beta[1:q] = k * (k + 2.0 * nu - 1.0) / (4.0 * (k + nu) * (k + nu - 1.0))
+    m = (q + 1) // 2
+    # (J^2)_{2j,2j} = beta_{2j} + beta_{2j+1}, (J^2)_{2j,2j+2} = sqrt(beta_{2j+1} beta_{2j+2})
+    diag = beta[0:2 * m:2] + beta[1:2 * m:2]
+    off = np.sqrt(beta[1:2 * m - 2:2] * beta[2:2 * m - 1:2])
+    band = np.diag(diag)
+    np.fill_diagonal(band[1:], off)  # the lower triangle is all eigvalsh reads
+    x = np.sqrt(np.clip(np.linalg.eigvalsh(band, UPLO="L"), 0.0, 1.0))
+    if q % 2:
+        x[0] = 0.0  # R_q is odd, so 0 is a node: exactly, and Newton keeps it
+    (_, r_prev), (_, r_q) = collections.deque(_normalized_gegenbauer(x, nu, q), maxlen=2)
+    x -= r_q * (1.0 - x * x) / (q * (r_prev - x * r_q))
+    christoffel = np.zeros_like(x)
+    for j, rj in _normalized_gegenbauer(x, nu, q - 1):
+        christoffel += float(harmonic_dimension(d, j)) * rj * rj
+    w = 1.0 / christoffel
+    # the mirror must not repeat the node at 0 of an odd rule
+    t = np.concatenate((-x[::-1], x[q % 2:]))
+    w = np.concatenate((w[::-1], w[q % 2:]))
+    return t, w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +827,9 @@ def load_spectrum(path) -> SpectralBasis:
 
     The basis derives its decay exponent and degeneracy from the stored
     eigenpairs; the header's copies are written for older readers only.  A
-    Nystrom file whose header has no "center" entry (written before the
-    header recorded centering) loads with the uncentered kernel.
+    Nystrom file whose header has no "center" entry (written before gofkit
+    0.3.0 recorded centering) is refused with ValueError: nothing else in
+    the file says whether its eigenfunctions belong to the centered kernel.
     """
     import json
 
@@ -812,13 +855,17 @@ def load_spectrum(path) -> SpectralBasis:
             return np.frombuffer(read(8 * count), dtype="<f8").reshape(shape).copy()
 
         if header["basis_type"] == "nystrom":
+            if "center" not in header:
+                raise ValueError("spectrum file %s does not record whether its kernel "
+                                 "was centered (written before gofkit 0.3.0); rerun "
+                                 "`gofkit decompose`" % path)
             lam = read_array()
             nodes = read_array()
             weights = read_array()
             phi_nodes = read_array()
             return NystromBasis(
                 lam, resolve_kernel(header["kernel_id"]), Quadrature(nodes, weights),
-                phi_nodes, center=header.get("center", False),
+                phi_nodes, center=header["center"],
                 null_id=header["null_id"], kernel_id=header["kernel_id"])
         if header["basis_type"] == "zonal":
             lam = read_array()

@@ -45,16 +45,17 @@ def test_help_all_subcommands(capsys):
 
 def test_import_leaves_scipy_integrate_unloaded(spectrum_file, data_file, tmp_path):
     # scipy.integrate alone loads some 300 modules and 25 MB into every run,
-    # scipy.special 0.2 s of CPU and 19 MB; no decision needs either, and
-    # only decompose on a sphere and the vMF and Watson densities import scipy
+    # scipy.special 0.27 s of CPU and 25 MB; no command needs either, and only
+    # the vMF and Watson densities import scipy
     sphere_spec, sphere_data = tmp_path / "s2.spec", tmp_path / "s2.csv"
-    assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
-                     "uniform-sphere-3", "--trunc", "8", "--nodes", "64",
-                     "--out", str(sphere_spec), "--quiet"]) == 0
     x = np.random.default_rng(0).standard_normal((200, 3))
     np.savetxt(sphere_data, x / np.linalg.norm(x, axis=1, keepdims=True), delimiter=",")
     cube = ["--spectrum", str(spectrum_file), "--data", str(data_file), "--quiet"]
     runs = [
+        ["decompose", "--kernel", "gaussian-sphere:1.0", "--null", "uniform-sphere-3",
+         "--trunc", "8", "--nodes", "64", "--out", str(sphere_spec), "--quiet"],
+        ["decompose", "--kernel", "gaussian-sphere:1.0", "--null", "uniform-sphere-5",
+         "--trunc", "6", "--nodes", "64", "--out", str(tmp_path / "s4.spec"), "--quiet"],
         ["test", "--kind", "mmd", "--seed", "1", "--calibrate", "mc:1000", *cube],
         ["test", "--kind", "m3d", "--theta", "0", *cube],
         ["test", "--kind", "adaptive", "--calibrate", "theory", *cube],
@@ -494,9 +495,14 @@ def test_centered_gaussian_spectrum_reloads_centered(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["statistic"]) < 5.0
 
-    # a file written before the header recorded centering loads uncentered
+    # a file written before the header recorded centering is refused
     _drop_header_key(out, "center")
-    assert not load_spectrum(out).center
+    with pytest.raises(ValueError, match="rerun `gofkit decompose`"):
+        load_spectrum(out)
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(out),
+                     "--data", str(data), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert "rerun `gofkit decompose`" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["mc", "mc:500"])

@@ -363,6 +363,57 @@ def test_sphere_requires_d_at_least_3():
         sphere_zonal_spectrum(lambda t: np.ones_like(t), 2, 4)
 
 
+def test_sphere_rejects_a_negative_node_count():
+    with pytest.raises(ValueError, match="positive node count"):
+        sphere_zonal_spectrum(gaussian_sphere_profile(1.0), 3, 4, quad_points=-5)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+@pytest.mark.parametrize("q", [7, 8, 96, 192])
+def test_gegenbauer_gauss_rule_is_exact(d, q):
+    t, w = spectrum._gegenbauer_gauss(d, q)
+    assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-15
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    # the q-node rule integrates R_j R_k (degree < 2q) exactly, and
+    # sqrt(N(d, k)) R_k are orthonormal under the law of <x, e>
+    R = np.array([rk.copy() for _, rk in spectrum._normalized_gegenbauer(t, (d - 2) / 2.0,
+                                                                         q - 1)])
+    root_n = np.sqrt([float(harmonic_dimension(d, k)) for k in range(q)])
+    gram = root_n[:, None] * ((R * w) @ R.T) * root_n
+    assert np.abs(gram - np.eye(q)).max() <= 1e-13
+    # ulps of 1, the scale of [-1, 1]: near 0 both rules carry absolute round-off
+    nodes, _ = special.roots_jacobi(q, (d - 3) / 2.0, (d - 3) / 2.0)
+    assert np.abs(t - nodes).max() <= 2 * np.spacing(1.0)
+
+
+def _gaussian_sphere_eigenvalue(d, sigma2, k):
+    """Funk-Hecke eigenvalue of exp(-2 (1 - t) / sigma2) on S^{d-1} in closed
+    form, e^-a Gamma(d/2) (2/a)^(d/2-1) I_{k+d/2-1}(a) with a = 2 / sigma2,
+    summed as its series e^-a sum_j (a/2)^(k+2j) / (j! (d/2)_(k+j)) of
+    positive terms.  scipy.special.ive is not used: at half-integer order it
+    is off by 1.1e-14 relative at a = 4."""
+    h = 1.0 / sigma2
+    term = math.prod(h / (d / 2.0 + i) for i in range(k))
+    total, j = 0.0, 0
+    while term > 1e-18 * total:
+        total += term
+        j += 1
+        term *= h * h / (j * (d / 2.0 + k + j - 1))
+    return math.exp(-2.0 * h) * total
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("sigma2", [0.5, 1.0])
+def test_sphere_gaussian_eigenvalues_match_the_bessel_closed_form(d, sigma2):
+    basis = sphere_zonal_spectrum(gaussian_sphere_profile(sigma2), d, 20, quad_points=96)
+    lam = basis.degree_eigenvalues
+    exact = np.array([_gaussian_sphere_eigenvalue(d, sigma2, k) for k in basis.degrees])
+    assert np.abs(lam - exact).max() <= 1e-15 * lam.max()
+    # down to the 1e-12 keep floor, the quadrature's round-off stays far
+    # below each kept eigenvalue
+    assert np.abs(lam / exact - 1.0).max() <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # zonal summary
 

@@ -1,7 +1,10 @@
 """Null-distribution quantiles and p-values for the three tests.
 
 The MMD null sum_k lambda_k Z_k^2 is drawn with one variate per distinct
-eigenvalue: lambda * chi^2_m for a value shared by m eigenfunctions.
+eigenvalue: lambda * chi^2_m for a value shared by m eigenfunctions.  The
+draws go through one buffer of at most ``_CHISQ_BYTES``, so the working
+memory of a calibration does not grow with the spectrum; blocks of
+``_CHISQ_CHUNK`` rows fix only the order in which the random stream is read.
 """
 from __future__ import annotations
 
@@ -16,9 +19,12 @@ import numpy as np
 # replications of the statistic (adaptive)
 CHISQ_REPS = 100_000
 EMPIRICAL_REPS = 200
-# chi-square-mixture draws per block, which bounds the memory of one
-# calibration at _CHISQ_CHUNK x (number of distinct eigenvalues) variates
+# chi-square-mixture rows per block.  It fixes only the stream order: each
+# block reads all its normals, then all its tied chi-square variates, so a
+# change here changes the replicates.  Memory is bounded by _CHISQ_BYTES
 _CHISQ_CHUNK = 8192
+# bytes of the one buffer a block's variates are drawn and reduced through
+_CHISQ_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,12 @@ class NullCalibration:
         return None
 
 
-def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    """Order statistic at 1-based index ceil((1-alpha) * len(values))."""
-    values = np.sort(np.asarray(values, dtype=float))
+def order_stat_quantile(values: np.ndarray, alpha: float) -> float:
+    """Order statistic at 1-based index ceil((1-alpha) * len(values)), found
+    by selection rather than a full sort."""
+    values = np.asarray(values, dtype=float)
     idx = min(math.ceil((1.0 - alpha) * values.size), values.size)
-    return float(values[idx - 1])
+    return float(np.partition(values, idx - 1)[idx - 1])
 
 
 def normal_cdf(x: float) -> float:
@@ -103,17 +110,25 @@ def chisq_mix_quantile(eigenvalues, alpha: float, reps: int = CHISQ_REPS,
     values, counts = np.unique(lam, return_counts=True)
     simple = lam[counts[np.searchsorted(values, lam)] == 1]
     tied, dof = values[counts > 1], counts[counts > 1]
+    # sub-blocks of a power of two rows: they tile each block, and every row
+    # falls in the same place of BLAS gemv's row groups as in one
+    # whole-block product, so the replicates keep their bits
+    fit = _CHISQ_BYTES // (8 * max(simple.size, tied.size, 1))
+    rows = min(1 << max(fit.bit_length() - 1, 4), _CHISQ_CHUNK)
+    z = np.empty((rows, simple.size))
     rng = np.random.default_rng(seed)
     draws = np.empty(reps)
-    done = 0
-    while done < reps:
-        m = min(_CHISQ_CHUNK, reps - done)
-        z = rng.standard_normal((m, simple.size))
-        draws[done:done + m] = (z * z) @ simple + rng.chisquare(dof, (m, dof.size)) @ tied
-        done += m
+    for start in range(0, reps, _CHISQ_CHUNK):
+        subs = [(a, min(a + rows, reps))
+                for a in range(start, min(start + _CHISQ_CHUNK, reps), rows)]
+        for a, b in subs:
+            zs = rng.standard_normal(out=z[:b - a])
+            np.dot(np.square(zs, out=zs), simple, out=draws[a:b])
+        for a, b in subs if tied.size else ():
+            draws[a:b] += rng.chisquare(dof, (b - a, dof.size)) @ tied
     return NullCalibration(
         method="chisq-mixture-mc", alpha=alpha,
-        quantile=_order_stat_quantile(draws, alpha),
+        quantile=order_stat_quantile(draws, alpha),
         reps=reps, seed=seed, replicates=draws)
 
 
@@ -134,5 +149,5 @@ def empirical_null_quantile(statistic: Callable, null_sampler: Callable,
         stats[i] = statistic(null_sampler(n, rng))
     return NullCalibration(
         method="empirical-mc", alpha=alpha,
-        quantile=_order_stat_quantile(stats, alpha),
+        quantile=order_stat_quantile(stats, alpha),
         reps=reps, seed=seed, replicates=stats)

@@ -189,7 +189,21 @@ def _calibration_from_file(path) -> cal.NullCalibration:
               if f.name in d}  # ignores keys of earlier releases, e.g. truncation_bias
     if fields.get("replicates") is not None:
         fields["replicates"] = np.asarray(fields["replicates"], float)
-    return cal.NullCalibration(**fields)
+    c = cal.NullCalibration(**fields)
+    values = c.replicates
+    if values is not None or c.method.endswith("-mc"):
+        count = 0 if values is None else values.size
+        if count != c.reps:
+            raise CliError("calibration file %s: 'replicates' holds %d values but "
+                           "'reps' is %s" % (path, count, c.reps))
+        if not np.all(np.isfinite(values)):
+            raise CliError("calibration file %s: 'replicates' holds a non-finite "
+                           "value" % path)
+        if c.quantile != cal.order_stat_quantile(values, c.alpha):
+            raise CliError("calibration file %s: 'quantile' %r is not the "
+                           "ceil((1-alpha) reps) order statistic of its replicates"
+                           % (path, c.quantile))
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Tests for null-quantile calibration."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,7 +12,8 @@ from gofkit.calibrate import (
     normal_calibration,
     normal_quantile,
 )
-from gofkit.spectrum import cosine_basis, tensor_product_basis
+from gofkit.kernels import zonal_profile
+from gofkit.spectrum import cosine_basis, sphere_zonal_spectrum, tensor_product_basis
 
 
 def test_normal_quantile_values():
@@ -90,6 +93,53 @@ def test_chisq_distinct_spectrum_draws_one_normal_per_eigenvalue(reps):
     lam = cosine_basis(40).eigenvalues[[0, 3, 1, 2] + list(range(4, 40))]
     c = chisq_mix_quantile(lam, 0.05, reps=reps, seed=11)
     assert np.array_equal(c.replicates, _ungrouped_draws(lam, reps, seed=11))
+
+
+def _one_block_draws(lam, reps, seed, chunk=8192):
+    """The 0.11.0 draw: each block of ``chunk`` rows forms all its squared
+    normals, then all its tied chi-square variates, as whole arrays."""
+    lam = np.asarray(lam, dtype=float)
+    values, counts = np.unique(lam, return_counts=True)
+    simple = lam[counts[np.searchsorted(values, lam)] == 1]
+    tied, dof = values[counts > 1], counts[counts > 1]
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, reps, chunk):
+        m = min(chunk, reps - start)
+        z = rng.standard_normal((m, simple.size))
+        out.append((z * z) @ simple + rng.chisquare(dof, (m, dof.size)) @ tied)
+    return np.concatenate(out)
+
+
+_PINNED_SPECTRA = {
+    "tensor-d5-K256": tensor_product_basis(cosine_basis(32), 5, 256).eigenvalues,
+    "sphere-S2-zonal": sphere_zonal_spectrum(zonal_profile("gaussian-sphere:1.0"), 3, 20,
+                                             quad_points=96).eigenvalues,
+    "interleaved-ties": [0.9, 0.5, 0.2, 0.5, 0.3, 0.2, 0.2, 0.1, 0.5, 0.05],
+    "distinct-K1000": 1.0 / np.random.default_rng(0).permutation(np.arange(1, 1001)) ** 2,
+}
+
+
+@pytest.mark.parametrize("reps", [100, 8191, 8192, 8193, 20000])
+@pytest.mark.parametrize("name", list(_PINNED_SPECTRA))
+def test_chisq_draws_match_the_one_block_loop_bit_for_bit(name, reps):
+    # the bounded buffer reads the stream in the same order and reduces each
+    # row as one whole-block product does, so no replicate moves by an ulp
+    lam = _PINNED_SPECTRA[name]
+    c = chisq_mix_quantile(lam, 0.05, reps=reps, seed=21)
+    assert np.array_equal(c.replicates, _one_block_draws(lam, reps, seed=21))
+
+
+def test_chisq_memory_does_not_grow_with_the_spectrum():
+    # one block of the one-block loop holds two 8192 x 512 arrays, ~64 MB
+    lam = 1.0 / np.arange(1, 513) ** 1.5
+    tracemalloc.start()
+    try:
+        chisq_mix_quantile(lam, 0.05, reps=20000, seed=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("m", [2, 7, 40])

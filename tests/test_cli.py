@@ -601,6 +601,28 @@ def test_calibration_file_and_calibrate_mode_exclude_each_other(centered_file, d
     assert "exclude each other" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r.update(replicates=r["replicates"][:500]),
+     "'replicates' holds 500 values but 'reps' is 1000"),
+    (lambda r: r["replicates"].__setitem__(7, float("nan")),
+     "'replicates' holds a non-finite value"),
+    (lambda r: r.update(quantile=0.0), "'quantile' 0.0 is not the ceil((1-alpha) reps)"),
+], ids=["cut-replicates", "nan-replicate", "edited-quantile"])
+def test_a_corrupted_calibration_file_is_refused(centered_file, data_file, tmp_path,
+                                                 capsys, edit, message):
+    cal_file = tmp_path / "mmd.cal"
+    assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(centered_file),
+                     "--n", "200", "--reps", "1000", "--seed", "3",
+                     "--out", str(cal_file), "--quiet"]) == 0
+    record = json.loads(cal_file.read_text())
+    edit(record)
+    cal_file.write_text(json.dumps(record))
+    assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    captured = capsys.readouterr()
+    assert "calibration file %s: %s" % (cal_file, message) in captured.err
+    assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def roundtrip_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("roundtrip")

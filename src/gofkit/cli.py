@@ -226,12 +226,18 @@ def _cmd_test(args) -> int:
         calibration = _calibration_from_file(args.calibration)
     else:
         reps, theory = None, False
-        mode, _, arg = (args.calibrate or "").partition(":")
+        mode, sep, arg = (args.calibrate or "").partition(":")
+        if sep and mode in ("theory", "normal"):
+            raise CliError("--calibrate %s takes no argument, got %r"
+                           % (mode, args.calibrate))
         if mode == "mc":
             if args.kind == "m3d":
                 raise CliError("m3d is calibrated by the normal quantile; "
                                "--calibrate mc applies to mmd and adaptive")
-            reps = int(arg) if arg else None
+            if sep and not arg.isdigit():
+                raise CliError("--calibrate mc:REPS needs a whole number of "
+                               "replicates, got %r" % args.calibrate)
+            reps = int(arg) if sep else None
         elif mode == "theory":
             theory = True
         elif mode == "normal":

@@ -309,11 +309,12 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
              calibration: Optional[cal.NullCalibration] = None) -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
-    m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`;
-    adaptive uses :func:`adaptive_grid`.  ``calibration`` is a
-    :func:`null_calibration` made for this kind, n, alpha and spectrum
-    (ValueError otherwise); without one, ``null_calibration(kind, basis, n,
-    alpha)`` is used, which only m3d can build without a seed.
+    m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`
+    (ValueError for both); adaptive uses :func:`adaptive_grid`.
+    ``calibration`` is a :func:`null_calibration` made for this kind, n,
+    alpha and spectrum (ValueError otherwise); without one,
+    ``null_calibration(kind, basis, n, alpha)`` is used, which only m3d can
+    build without a seed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -328,6 +329,8 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
         raise ValueError("the calibration was made for another test: " + "; ".join(diff))
     params: dict = {"K": basis.truncation, "alpha": alpha}
     if kind == "m3d":
+        if rho is not None and theta is not None:
+            raise ValueError("m3d takes rho or theta, not both")
         if rho is None:
             if theta is None:
                 raise ValueError("m3d requires rho (or theta for the schedule)")

@@ -10,6 +10,7 @@ matrix instead.
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 import os
 import struct
@@ -64,21 +65,17 @@ def gauss_legendre_01(n: int) -> Quadrature:
 class SpectralBasis:
     """Eigenvalues and eigenfunction evaluator of a kernel under P0.
 
-    ``feature_fn(X) -> (n, K)`` evaluates the first K eigenfunctions at the
-    rows of X; :meth:`head` evaluates a prefix of them.  Bases without an
-    explicit feature map (spherical harmonics) override the
-    kernel-evaluation entry points instead.  Without a ``decay_exponent``
-    the basis fits one to its own eigenvalues (NaN for K < 8).
+    ``feature_fn(X, m) -> (n, m)`` evaluates the first m eigenfunctions at
+    rows of X that :meth:`_points` has checked; :meth:`head` and
+    :meth:`features` (m = K) call it.  A basis without one (zonal, d >= 4)
+    overrides the kernel-evaluation entry points instead.  Without a
+    ``decay_exponent`` the basis fits one to its own eigenvalues (NaN for K < 8).
     """
-
-    # (X, m) -> the first m eigenfunctions alone; set by bases that can
-    # evaluate a prefix for less than the whole feature map
-    _prefix_fn = None
 
     def __init__(
         self,
         eigenvalues: np.ndarray,
-        feature_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        feature_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         *,
         null_id: str = "",
         degenerate: bool = False,
@@ -135,17 +132,16 @@ class SpectralBasis:
         return X
 
     def features(self, X: np.ndarray) -> np.ndarray:
-        if self._feature_fn is None:
-            raise NotImplementedError("basis has no explicit eigenfunctions")
-        return self._feature_fn(self._points(X))
+        """All K eigenfunctions at the rows of X: ``head(X, K)``."""
+        return self.head(X, self.truncation)
 
     def head(self, X, m: int) -> np.ndarray:
         """The first m eigenfunctions at the rows of X: ``features(X)[:, :m]``."""
         if not 0 <= m <= self.truncation:
             raise ValueError("head needs 0 <= m <= K = %d, got %d" % (self.truncation, m))
-        if self._prefix_fn is None:
-            return self.features(X)[:, :m]
-        return self._prefix_fn(self._points(X), m)
+        if self._feature_fn is None:
+            raise NotImplementedError("basis has no explicit eigenfunctions")
+        return self._feature_fn(self._points(X), m)
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         """Sum_k weights_k phi_k(x) phi_k(y) on all pairs (default: the kernel)."""
@@ -182,15 +178,6 @@ class SpectralBasis:
         )
 
 
-class _PrefixBasis(SpectralBasis):
-    """A basis built from ``prefix_fn(X, m)``, which evaluates the first m
-    eigenfunctions at the (already checked) rows of X without the rest."""
-
-    def __init__(self, eigenvalues, prefix_fn, **kw):
-        self._prefix_fn = prefix_fn
-        super().__init__(eigenvalues, lambda X: prefix_fn(X, self.truncation), **kw)
-
-
 @dataclass(frozen=True)
 class SampleSummary:
     """Sufficient statistics for all spectral test statistics of a sample of
@@ -210,7 +197,7 @@ class SampleSummary:
             raise ValueError("sample must contain at least one point")
 
 
-class NystromBasis(_PrefixBasis):
+class NystromBasis(SpectralBasis):
     """Basis from a weighted Gram eigenproblem with off-node Nystrom extension.
 
     With ``center=True`` the eigenfunctions are those of the centered kernel
@@ -297,7 +284,8 @@ class SphereZonalBasis(SpectralBasis):
             ([0], np.cumsum(self.multiplicities.astype(int))[:-1])
         )
         kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
-        harmonics = (lambda X: _sphere2_harmonics(X, self.degrees)) if self.d == 3 else None
+        harmonics = (lambda X, m: _sphere2_harmonics(X, self.degrees)[:, :m]) \
+            if self.d == 3 else None
         super().__init__(expanded, harmonics, degenerate=0 not in self.degrees, **kw)
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
@@ -570,39 +558,38 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
 
     Mode 0 in each coordinate is the constant eigenfunction (eigenvalue 1);
     the all-constant multi-index is excluded.  Requires a degenerate factor
-    so that the products remain orthonormal.
+    so that the products remain orthonormal, on the null uniform-cube-1 (the
+    product then has uniform-cube-d) or on none.
     """
     if d < 1 or K < 1:
         raise ValueError("d and K must be positive")
     if not factor.degenerate:
         raise ValueError("factor basis must be degenerate (centered)")
+    if factor.null_id not in ("uniform-cube-1", ""):
+        raise ValueError("a tensor factor lives on uniform-cube-1 (or no null), "
+                         "not %r" % factor.null_id)
     values = np.concatenate(([1.0], factor.eigenvalues))
     if np.any(np.diff(values) > 1e-12 * values[0]):
         raise ValueError("constant-mode eigenvalue must dominate the factor")
-    if d == 1:
-        idx = np.arange(1, min(K, factor.truncation) + 1)[:, None]
-    else:
-        import heapq
-
-        root = (0,) * d
-        heap = [(-values[0] ** d, root)]
-        seen = {root}
-        picked = []
-        while heap and len(picked) < K + 1:
-            negv, mi = heapq.heappop(heap)
-            picked.append(mi)
-            for j in range(d):
-                if mi[j] + 1 >= values.size:
-                    continue
-                child = mi[:j] + (mi[j] + 1,) + mi[j + 1:]
-                if child not in seen:
-                    seen.add(child)
-                    ratio = values[child[j]] / values[mi[j]]
-                    heapq.heappush(heap, (negv * ratio, child))
-        picked = [mi for mi in picked if any(mi)][:K]
-        if len(picked) < K:
-            raise ValueError("lattice exhausted before reaching K modes")
-        idx = np.array(picked, dtype=int)
+    root = (0,) * d
+    heap = [(-values[0] ** d, root)]
+    seen = {root}
+    picked = []
+    while heap and len(picked) < K + 1:
+        negv, mi = heapq.heappop(heap)
+        picked.append(mi)
+        for j in range(d):
+            if mi[j] + 1 >= values.size:
+                continue
+            child = mi[:j] + (mi[j] + 1,) + mi[j + 1:]
+            if child not in seen:
+                seen.add(child)
+                ratio = values[child[j]] / values[mi[j]]
+                heapq.heappush(heap, (negv * ratio, child))
+    picked = [mi for mi in picked if any(mi)][:K]
+    if len(picked) < K:
+        raise ValueError("lattice exhausted before reaching K modes")
+    idx = np.array(picked, dtype=int)
     lam = np.prod(values[idx], axis=1)
     order = np.argsort(-lam, kind="stable")
     idx = idx[order]
@@ -632,14 +619,9 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
     if factor.sup_norms is not None:
         per_mode = np.concatenate(([1.0], factor.sup_norms))
         sup = np.prod(per_mode[idx], axis=1)
-    null_id = factor.null_id
-    if null_id == "uniform-cube-1":
-        null_id = "uniform-cube-%d" % d
-    elif null_id:
-        null_id = "%s^%d" % (null_id, d)
-    return _PrefixBasis(
+    return SpectralBasis(
         lam, prefix_fn,
-        null_id=null_id,
+        null_id="uniform-cube-%d" % d if factor.null_id else "",
         degenerate=True,
         sup_norms=sup,
         meta={"tensor_indices": idx},
@@ -749,7 +731,7 @@ def cosine_basis(K: int) -> SpectralBasis:
     """Reference basis under Uniform[0,1]: lambda_k = (k pi)^-2, sqrt(2) cos(k pi x)."""
     k = np.arange(1, K + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
-    return _PrefixBasis(
+    return SpectralBasis(
         lam, lambda X, m: cosine_features(X[:, 0], m).T,
         null_id="uniform-cube-1",
         degenerate=True,

@@ -514,6 +514,29 @@ def test_m3d_rejects_monte_carlo_calibration(centered_file, data_file, capsys, m
     assert "normal quantile" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("kind, mode, message", [
+    ("adaptive", "theory:abc", "--calibrate theory takes no argument"),
+    ("m3d", "normal:7", "--calibrate normal takes no argument"),
+    ("mmd", "mc:abc", "--calibrate mc:REPS"),
+    ("mmd", "mc:", "--calibrate mc:REPS"),
+    ("adaptive", "mc:1e3", "--calibrate mc:REPS"),
+], ids=["theory-arg", "normal-arg", "mc-word", "mc-empty", "mc-float"])
+def test_calibrate_mode_refuses_a_bad_argument(centered_file, data_file, capsys, kind,
+                                               mode, message):
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--theta", "0", "--seed", "1",
+                     "--calibrate", mode]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_m3d_refuses_rho_and_theta(centered_file, data_file, capsys):
+    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--rho", "0.1", "--theta", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "rho or theta, not both" in captured.err and captured.out == ""
+
+
 def test_calibration_file_has_no_truncation_bias(centered_file, data_file, tmp_path,
                                                  capsys):
     out = tmp_path / "mmd.cal"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gofkit import dists
 from gofkit.dists import (
@@ -92,6 +93,34 @@ def test_spherical_samplers_accept_n_zero():
         mu = np.eye(d)[-1]
         assert sample_vmf(mu, 2.0, 0, rng).shape == (0, d)
         assert sample_watson(mu, 2.0, 0, rng).shape == (0, d)
+
+
+def _mean_z(values, want):
+    """(mean - want) in standard errors of the mean."""
+    return (values.mean() - want) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d, kappa", [(3, 0.5), (3, 5.0), (5, 50.0)])
+def test_vmf_sampler_mean_resultant(d, kappa, seed):
+    # E<x, mu> = A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa)
+    mu = np.ones(d) / math.sqrt(d)
+    x = sample_vmf(mu, kappa, 20000, np.random.default_rng(seed))
+    assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12
+    want = special.ive(d / 2.0, kappa) / special.ive(d / 2.0 - 1.0, kappa)
+    assert abs(_mean_z(x @ mu, want)) <= 4.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d, kappa", [(5, 0.5), (3, 2.0), (6, 4.0)])
+def test_watson_sampler_second_moment(d, kappa, seed):
+    # E<x, mu>^2 = (1/d) M(3/2, d/2+1, kappa) / M(1/2, d/2, kappa); (5, 0.5) takes
+    # the envelope for small kappa, (3, 2) the one for d = 3
+    mu = np.ones(d) / math.sqrt(d)
+    x = sample_watson(mu, kappa, 20000, np.random.default_rng(seed))
+    assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12
+    want = special.hyp1f1(1.5, d / 2.0 + 1.0, kappa) / special.hyp1f1(0.5, d / 2.0, kappa)
+    assert abs(_mean_z((x @ mu) ** 2, want / d)) <= 4.0
 
 
 def test_spectral_sampler_draws_proposals_through_null_sampler(monkeypatch):

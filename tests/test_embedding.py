@@ -50,7 +50,7 @@ def diag_term(ms: ModeratedSpectrum, sample: Sample) -> float:
 
 def _rank_one_basis(lam=1.0):
     return SpectralBasis(
-        [lam], lambda X: np.ones((np.atleast_2d(X).shape[0], 1)),
+        [lam], lambda X, m: np.ones((X.shape[0], m)),
         null_id="uniform-cube-1", degenerate=True)
 
 
@@ -90,7 +90,7 @@ def test_mmd_duplication_invariant():
 
 
 def test_mmd_requires_degenerate_basis():
-    basis = SpectralBasis([1.0], lambda X: np.ones((np.atleast_2d(X).shape[0], 1)),
+    basis = SpectralBasis([1.0], lambda X, m: np.ones((X.shape[0], m)),
                           null_id="uniform-cube-1", degenerate=False)
     with pytest.raises(ValueError, match="degenerate"):
         mmd_vstat(basis, Sample(np.array([0.5])))
@@ -245,9 +245,8 @@ def test_scale_coupling_identity():
     k = np.arange(1, 41, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
 
-    def feat(X):
-        x = np.atleast_2d(np.asarray(X, float))[:, 0]
-        return math.sqrt(2.0) * np.cos(np.outer(x, k) * math.pi)
+    def feat(X, m):
+        return math.sqrt(2.0) * np.cos(np.outer(X[:, 0], k[:m]) * math.pi)
 
     b1 = SpectralBasis(lam, feat, null_id="uniform-cube-1", degenerate=True)
     b2 = SpectralBasis(c * lam, feat, null_id="uniform-cube-1", degenerate=True)
@@ -464,8 +463,7 @@ def test_run_test_mmd_chisq_threshold():
     # single eigenvalue 1 makes the null limit a chi-square(1)
     basis = SpectralBasis(
         [1.0],
-        lambda X: math.sqrt(2.0) * np.cos(
-            math.pi * np.atleast_2d(np.asarray(X, float))[:, :1]),
+        lambda X, m: math.sqrt(2.0) * np.cos(math.pi * X[:, :1])[:, :m],
         null_id="uniform-cube-1", degenerate=True)
     sample = Sample(np.random.default_rng(0).random(100))
     report = run_test("mmd", basis, sample, 0.05, calibration=null_calibration(
@@ -506,6 +504,13 @@ def test_run_test_refuses_a_calibration_it_cannot_check():
     with pytest.raises(ValueError, match="kind None \\(calibration\\) != m3d"):
         run_test("m3d", basis, sample, 0.05, rho=0.1,
                  calibration=cal.normal_calibration(0.05))
+
+
+def test_run_test_m3d_refuses_rho_and_theta():
+    basis = cosine_basis(16)
+    sample = Sample(np.random.default_rng(3).random(40))
+    with pytest.raises(ValueError, match="rho or theta, not both"):
+        run_test("m3d", basis, sample, 0.05, rho=0.1, theta=0.0)
 
 
 def test_run_test_unknown_kind():

@@ -190,7 +190,7 @@ def _eval_truncated(basis, x, y) -> float:
 
 
 def test_eval_truncated_rank_one():
-    basis = SpectralBasis([1.0], lambda X: np.ones((np.atleast_2d(X).shape[0], 1)),
+    basis = SpectralBasis([1.0], lambda X, m: np.ones((X.shape[0], m)),
                           null_id="uniform-cube-1")
     assert _eval_truncated(basis, 0.2, 0.9) == pytest.approx(1.0)
 
@@ -244,10 +244,8 @@ def test_moderation_bounds():
 def _toy_factor(eigs):
     eigs = np.asarray(eigs, float)
 
-    def feat(X):
-        x = np.atleast_2d(np.asarray(X, float))[:, 0]
-        k = np.arange(1, eigs.size + 1)
-        return math.sqrt(2.0) * np.cos(np.outer(x, k) * math.pi)
+    def feat(X, m):
+        return math.sqrt(2.0) * np.cos(np.outer(X[:, 0], np.arange(1, m + 1)) * math.pi)
 
     return SpectralBasis(eigs, feat, null_id="uniform-cube-1", degenerate=True,
                          decay_exponent=1.0,
@@ -258,6 +256,28 @@ def test_tensor_d1_is_truncated_factor():
     factor = cosine_basis(10)
     t = tensor_product_basis(factor, 1, 6)
     assert np.array_equal(t.eigenvalues, factor.eigenvalues[:6])
+
+
+def test_tensor_d1_walks_the_lattice():
+    factor = cosine_basis(10)
+    t = tensor_product_basis(factor, 1, 10)
+    X = np.random.default_rng(3).random((50, 1))
+    assert np.array_equal(t.features(X), factor.features(X))
+    # the factor holds 10 modes, so a 1-D product of 20 does not exist
+    with pytest.raises(ValueError, match="lattice exhausted"):
+        tensor_product_basis(factor, 1, 20)
+
+
+@pytest.mark.parametrize("null_id", ["uniform-sphere-3", "uniform-cube-2"])
+def test_tensor_refuses_a_factor_off_the_unit_interval(null_id):
+    factor = _toy_factor([0.4, 0.1])
+    off = SpectralBasis(factor.eigenvalues, factor._feature_fn, null_id=null_id,
+                        degenerate=True)
+    with pytest.raises(ValueError, match="uniform-cube-1"):
+        tensor_product_basis(off, 2, 3)
+    # a factor on no null gives a product on no null
+    bare = SpectralBasis(factor.eigenvalues, factor._feature_fn, degenerate=True)
+    assert tensor_product_basis(bare, 2, 3).null_id == ""
 
 
 def test_tensor_top_products_small_case():
@@ -683,7 +703,7 @@ def test_decay_exponent_input_validation():
 
 
 def test_effective_variance_single_eigenvalue():
-    basis = SpectralBasis([1.0], lambda X: np.ones((np.atleast_2d(X).shape[0], 1)),
+    basis = SpectralBasis([1.0], lambda X, m: np.ones((X.shape[0], m)),
                           null_id="uniform-cube-1")
     assert effective_variance(ModeratedSpectrum(basis, 0.0)) == pytest.approx(1.0)
 
@@ -795,7 +815,7 @@ def test_centered_expansion_basis_builds_and_loads_without_a_kernel_call(tmp_pat
 
 def test_basis_fits_its_own_decay_exponent():
     lam = 1.0 / (np.arange(1, 41) * math.pi) ** 2
-    features = lambda X: cosine_features(X[:, 0], 40).T
+    features = lambda X, m: cosine_features(X[:, 0], m).T
     assert SpectralBasis(lam, features).decay_exponent == estimate_decay_exponent(lam)
     assert SpectralBasis(lam, features, decay_exponent=1.0).decay_exponent == 1.0
     assert math.isnan(SpectralBasis(lam[:7], features).decay_exponent)
@@ -1019,22 +1039,26 @@ def test_summary_checks_each_block_once(kind, monkeypatch):
     assert blocks == [_SUMMARY_BLOCK, _SUMMARY_BLOCK, 3]
 
 
-@pytest.mark.parametrize("kind", sorted(_LAYER) + ["one-argument"])
+@pytest.mark.parametrize("kind", sorted(_LAYER) + ["sphere2-zonal"])
 def test_head_is_the_feature_prefix(kind):
-    if kind == "one-argument":
-        basis, d = SpectralBasis(np.array([0.5, 0.25, 0.125]),
-                                 lambda X: np.hstack([X, X ** 2, X ** 3])), 1
+    if kind == "sphere2-zonal":
+        basis, d = _SPHERE_BASES[3][0], 3
     else:
         basis, d = _LAYER[kind][:2]
     K = basis.truncation
     for n in (0, 3, 200):
-        X = np.random.default_rng(n).random((n, d))
+        X = (_sphere_points(n, d, seed=n) if kind == "sphere2-zonal"
+             else np.random.default_rng(n).random((n, d)))
         full = basis.features(X)
         for m in sorted({0, 1, 2, K // 2, K - 1, K}):
             got = basis.head(X, m)
             assert got.shape == (n, m)
-            # a prefix may take the other branch of the cosine evaluator
-            assert np.allclose(got, full[:, :m], rtol=0, atol=1e-12)
+            if kind == "sphere2-zonal":
+                # the zonal map slices all K harmonics, so the prefix is exact
+                assert np.array_equal(got, full[:, :m])
+            else:
+                # a prefix may take the other branch of the cosine evaluator
+                assert np.allclose(got, full[:, :m], rtol=0, atol=1e-12)
     for m in (-1, K + 1):
         with pytest.raises(ValueError, match="head needs"):
             basis.head(X, m)

@@ -310,7 +310,8 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     """Run one goodness-of-fit test and assemble its report.
 
     m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`
-    (ValueError for both); adaptive uses :func:`adaptive_grid`.
+    (ValueError for both); adaptive uses :func:`adaptive_grid`, and mmd and
+    adaptive refuse ``rho`` and ``theta`` with a ValueError.
     ``calibration`` is a :func:`null_calibration` made for this kind, n,
     alpha and spectrum (ValueError otherwise); without one,
     ``null_calibration(kind, basis, n, alpha)`` is used, which only m3d can
@@ -318,6 +319,9 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if kind != "m3d" and (rho is not None or theta is not None):
+        raise ValueError("%s takes no rho or theta; they set the moderation of m3d"
+                         % kind)
     n = sample.n
     if calibration is None:
         calibration = null_calibration(kind, basis, n, alpha)

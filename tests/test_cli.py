@@ -409,8 +409,9 @@ def test_cube_inputs_outside_the_method_exit_1(centered_file, tmp_path, capsys,
                                                 kind, rows, match):
     data = tmp_path / "bad.csv"
     np.savetxt(data, rows, delimiter=",")
+    theta = ["--theta", "0"] if kind == "m3d" else []
     assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
-                     "--data", str(data), "--theta", "0", "--seed", "1",
+                     "--data", str(data), *theta, "--seed", "1",
                      "--calibrate", {"mmd": "mc", "m3d": "normal",
                                      "adaptive": "theory"}[kind]]) == 1
     captured = capsys.readouterr()
@@ -528,6 +529,20 @@ def test_calibrate_mode_refuses_a_bad_argument(centered_file, data_file, capsys,
                      "--calibrate", mode]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("adaptive", ["--calibrate", "theory", "--rho", "0.5", "--theta", "3"]),
+    ("adaptive", ["--calibrate", "theory", "--theta", "0"]),
+    ("mmd", ["--seed", "1", "--rho", "0.5"]),
+    ("mmd", ["--seed", "1", "--calibrate", "mc:100", "--theta", "0"]),
+])
+def test_mmd_and_adaptive_refuse_rho_and_theta(centered_file, data_file, capsys,
+                                               kind, flags):
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
+                     "--data", str(data_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert "%s takes no rho or theta" % kind in captured.err and captured.out == ""
 
 
 def test_m3d_refuses_rho_and_theta(centered_file, data_file, capsys):

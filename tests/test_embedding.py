@@ -513,6 +513,19 @@ def test_run_test_m3d_refuses_rho_and_theta():
         run_test("m3d", basis, sample, 0.05, rho=0.1, theta=0.0)
 
 
+@pytest.mark.parametrize("kind", ["mmd", "adaptive"])
+@pytest.mark.parametrize("moderation", [{"rho": 0.5}, {"theta": 3.0},
+                                        {"rho": 0.5, "theta": 3.0}])
+def test_run_test_refuses_rho_and_theta_outside_m3d(kind, moderation):
+    # rho and theta set m3d's moderation; mmd and adaptive would drop them
+    basis = cosine_basis(16)
+    sample = Sample(np.random.default_rng(3).random(40))
+    calibration = null_calibration(kind, basis, 40, 0.05, reps=200, seed=1,
+                                   theory=kind == "adaptive")
+    with pytest.raises(ValueError, match="%s takes no rho or theta" % kind):
+        run_test(kind, basis, sample, 0.05, calibration=calibration, **moderation)
+
+
 def test_run_test_unknown_kind():
     basis = cosine_basis(16)
     with pytest.raises(ValueError, match="kind"):

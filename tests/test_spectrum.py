@@ -1,9 +1,11 @@
 """Tests for the spectral decomposition machinery."""
 import dataclasses
 import functools
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -312,6 +314,40 @@ def test_tensor_features_orthonormal_mc():
     assert np.abs(gram - np.eye(8)).max() < 0.03
 
 
+def _tensor_head_all_coordinates(factor, idx, X, m):
+    """Tensor features as 0.13.0 computed them: every coordinate's factor row
+    multiplied in, in coordinate order, constant rows included."""
+    n, d = X.shape
+    modes = idx[:m]
+    top = int(modes.max(initial=0))
+    table = np.empty((top + 1, d, n))
+    table[0] = 1.0
+    table[1:] = factor.head(X.T.ravel(), top).T.reshape(top, d, n)
+    out = table[modes[:, 0], 0]
+    for j in range(1, d):
+        out = out * table[modes[:, j], j]
+    return out.T
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 100])
+def test_tensor_features_keep_the_bits_of_the_all_coordinates_product(d):
+    # skipping the constant factors multiplies the rest in the same order, so
+    # features and summaries match bit for bit, not to a tolerance
+    factor = cosine_basis(256 if d == 1 else 32)
+    basis = tensor_product_basis(factor, d, 256)
+    reference = SpectralBasis(basis.eigenvalues, functools.partial(
+        _tensor_head_all_coordinates, factor, basis.meta["tensor_indices"]),
+        null_id=basis.null_id, degenerate=True)
+    for n in (0, 1, _SUMMARY_BLOCK - 1, _SUMMARY_BLOCK + 1):
+        X = np.random.default_rng(n).random((n, d))
+        for m in (0, 1, 17, basis.truncation):
+            assert np.array_equal(basis.head(X, m), reference.head(X, m)), (n, m)
+        if n:
+            got, want = basis.summary(X), reference.summary(X)
+            assert np.array_equal(got.mean_sq, want.mean_sq), n
+            assert np.array_equal(got.diag_mean, want.diag_mean), n
+
+
 # ---------------------------------------------------------------------------
 # sphere spectra
 
@@ -536,6 +572,23 @@ def test_sphere2_head_is_the_feature_prefix():
     # above S^2 the harmonics stay implicit
     with pytest.raises(NotImplementedError):
         _SPHERE_BASES[4][0].features(_sphere_points(3, 4, seed=2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SphereZonalBasis([0.5, 0.2], [1, 2], 3),
+    lambda: SphereZonalBasis([0.5, 0.2], [1, 2], 4),
+    lambda: tensor_product_basis(cosine_basis(8), 3, 10),
+], ids=["zonal-S2", "zonal-S3", "tensor"])
+def test_a_deleted_basis_is_freed_without_the_cycle_collector(make):
+    # a basis in no reference cycle is freed when its last reference goes
+    basis = make()
+    ref = weakref.ref(basis)
+    gc.disable()
+    try:
+        del basis
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sphere2_summary_checks_each_block_once(monkeypatch):

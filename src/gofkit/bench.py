@@ -12,7 +12,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dists
-from .embedding import adaptive_grid, null_calibration, null_key, rho_schedule, statistic
+from .embedding import moderation, null_calibration, null_key, rho_schedule, statistic
 from .spectrum import SpectralBasis
 
 CSV_HEADER = ["test", "n", "dim", "alternative", "replicate", "reject",
@@ -125,9 +125,8 @@ def run_plan(plan: ExperimentPlan) -> PowerTable:
     for n_idx, n in enumerate(plan.n_list):
         tests = []  # (kind, rho, grid, threshold) per test at this n
         for kind in plan.tests:
-            rho = (rho_schedule(n, basis.decay_exponent, plan.theta)
-                   if kind == "m3d" else None)
-            grid = adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
+            rho, grid = moderation(kind, basis, n,
+                                   theta=plan.theta if kind == "m3d" else None)
             thr = _calibration(calibrations, plan.seed, kind, basis, n, plan.alpha,
                                reps.get(kind)).quantile
             tests.append((kind, rho, grid, thr))

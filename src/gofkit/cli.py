@@ -220,36 +220,20 @@ def _cmd_decompose(args) -> int:
 def _cmd_test(args) -> int:
     basis = load_spectrum(args.spectrum)
     sample = Sample.from_csv(args.data)
-    if args.calibration is not None:
-        if args.calibrate is not None:
-            raise CliError("--calibration and --calibrate exclude each other")
-        calibration = _calibration_from_file(args.calibration)
-    else:
-        reps, theory = None, False
-        mode, sep, arg = (args.calibrate or "").partition(":")
-        if sep and mode in ("theory", "normal"):
-            raise CliError("--calibrate %s takes no argument, got %r"
-                           % (mode, args.calibrate))
-        if mode == "mc":
-            if args.kind == "m3d":
-                raise CliError("m3d is calibrated by the normal quantile; "
-                               "--calibrate mc applies to mmd and adaptive")
-            if sep and not arg.isdigit():
-                raise CliError("--calibrate mc:REPS needs a whole number of "
-                               "replicates, got %r" % args.calibrate)
-            reps = int(arg) if sep else None
-        elif mode == "theory":
-            theory = True
-        elif mode == "normal":
-            if args.kind != "m3d":
-                raise CliError("normal calibration applies to the m3d test")
-        elif args.calibrate is not None:
-            raise CliError("unknown --calibrate mode %r" % args.calibrate)
-        calibration = null_calibration(args.kind, basis, sample.n, args.alpha,
-                                       reps=reps, seed=args.seed, theory=theory)
-
-    report = run_test(args.kind, basis, sample, args.alpha,
-                      rho=args.rho, theta=args.theta, calibration=calibration)
+    calibrate, reps = args.calibrate, None
+    mode, sep, arg = (calibrate or "").partition(":")
+    if sep:  # only mc takes an argument, its replicate count
+        if mode != "mc":
+            raise CliError("--calibrate %s takes no argument, got %r" % (mode, calibrate))
+        if not arg.isdigit():
+            raise CliError("--calibrate mc:REPS needs a whole number of "
+                           "replicates, got %r" % calibrate)
+        calibrate, reps = mode, int(arg)
+    calibration = (None if args.calibration is None
+                   else _calibration_from_file(args.calibration))
+    report = run_test(args.kind, basis, sample, args.alpha, rho=args.rho, theta=args.theta,
+                      calibration=calibration, calibrate=calibrate, reps=reps,
+                      seed=args.seed)
     _say(args, report.to_text())
     print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
     return 0

@@ -168,8 +168,8 @@ def _studentized(basis: SpectralBasis, s: SampleSummary, rhos) -> np.ndarray:
     of each (rho, eigenvalue) array below belongs to ``rhos[r]``.  v(rho)
     runs over every eigenvalue of the basis, not over the summary's groups."""
     rhos = np.asarray(rhos, dtype=float)
-    if np.any(rhos < 0):
-        raise ValueError("rho must be nonnegative")
+    if not np.all((rhos >= 0) & np.isfinite(rhos)):  # NaN fails too
+        raise ValueError("rho must be finite and nonnegative")
     v = moderated_variance(basis.eigenvalues, rhos)
     if np.any(v <= 0):
         raise ValueError("effective variance must be positive")
@@ -189,8 +189,8 @@ def rho_schedule(n: int, s: float, theta: float = 0.0, c: float = 1.0) -> float:
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_decay(s)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not 0.0 <= theta < math.inf:  # NaN fails too
+        raise ValueError("theta must be finite and nonnegative")
     if c <= 0:
         raise ValueError("c must be positive")
     return c * n ** (-2.0 * s * (theta + 1.0) / (4.0 * s + theta + 1.0))
@@ -265,25 +265,45 @@ def spectrum_digest(basis: SpectralBasis) -> str:
     return hashlib.sha256(lam.tobytes()).hexdigest()
 
 
+def moderation(kind: str, basis: SpectralBasis, n: int, *, rho: Optional[float] = None,
+               theta: Optional[float] = None) -> tuple:
+    """(rho, grid) of test ``kind`` at sample size ``n``: m3d takes ``rho`` or
+    :func:`rho_schedule` at ``theta``, adaptive :func:`adaptive_grid`."""
+    if kind != "m3d":
+        if rho is not None or theta is not None:
+            raise ValueError("%s takes no rho or theta; they set the moderation of m3d"
+                             % kind)
+        return None, adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
+    if rho is not None and theta is not None:
+        raise ValueError("m3d takes rho or theta, not both")
+    if rho is None and theta is None:
+        raise ValueError("m3d requires rho (or theta for the schedule)")
+    return rho if theta is None else rho_schedule(n, basis.decay_exponent, theta), None
+
+
 def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: float, *,
-                     reps: Optional[int] = None, seed: Optional[int] = None,
-                     theory: bool = False) -> cal.NullCalibration:
+                     calibrate: Optional[str] = None, reps: Optional[int] = None,
+                     seed: Optional[int] = None) -> cal.NullCalibration:
     """Null calibration of test ``kind`` at sample size ``n``, stamped with its
-    :func:`null_key` and :func:`spectrum_digest`: chi-square-mixture MC for
-    mmd, the normal quantile for m3d, and empirical MC over null samples for
-    adaptive (or, with ``theory``, the sqrt(3 log log n) threshold).
-    ``reps=None`` takes the calibrator's default; Monte-Carlo needs a seed."""
+    :func:`null_key` and :func:`spectrum_digest`.  ``calibrate=None`` takes the
+    kind's method: "mc" (chi-square-mixture MC for mmd, empirical MC over null
+    samples for adaptive) or "normal" (m3d); "theory" is adaptive's sqrt(3 log
+    log n).  ``reps=None`` takes the calibrator's default; MC needs a seed."""
     kind, key_n = null_key(kind, n)
-    if theory:
+    if calibrate not in (None, "mc", "normal", "theory"):
+        raise ValueError("unknown --calibrate mode %r" % calibrate)
+    if calibrate == "theory":
         if kind != "adaptive":
             raise ValueError("theory calibration applies to the adaptive test")
         c = cal.NullCalibration(method="theory-loglog", alpha=alpha,
                                 quantile=theory_threshold(n), reps=None, seed=None)
     elif kind == "m3d":
-        if reps is not None:
-            raise ValueError("m3d is calibrated by the normal quantile; a "
-                             "Monte-Carlo rep count applies to mmd and adaptive")
+        if calibrate == "mc" or reps is not None:
+            raise ValueError("m3d is calibrated by the normal quantile; Monte-Carlo "
+                             "calibration and its rep count apply to mmd and adaptive")
         c = cal.normal_calibration(alpha)
+    elif calibrate == "normal":
+        raise ValueError("normal calibration applies to the m3d test")
     elif seed is None:
         raise ValueError("Monte-Carlo calibration requires a seed (--seed)")
     elif kind == "mmd":
@@ -291,7 +311,7 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
             basis.eigenvalues, alpha,
             reps=cal.CHISQ_REPS if reps is None else reps, seed=seed)
     else:
-        grid = adaptive_grid(n, basis.decay_exponent)
+        grid = moderation(kind, basis, n)[1]
         c = cal.empirical_null_quantile(
             lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
             dists.null_sampler(basis.null_id),
@@ -304,27 +324,27 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
 
 
 def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
-             rho: Optional[float] = None,
-             theta: Optional[float] = None,
-             calibration: Optional[cal.NullCalibration] = None) -> TestReport:
+             rho: Optional[float] = None, theta: Optional[float] = None,
+             calibration: Optional[cal.NullCalibration] = None,
+             calibrate: Optional[str] = None, reps: Optional[int] = None,
+             seed: Optional[int] = None) -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
-    m3d takes ``rho`` or derives it from ``theta`` by :func:`rho_schedule`
-    (ValueError for both); adaptive uses :func:`adaptive_grid`, and mmd and
-    adaptive refuse ``rho`` and ``theta`` with a ValueError.
-    ``calibration`` is a :func:`null_calibration` made for this kind, n,
-    alpha and spectrum (ValueError otherwise); without one,
-    ``null_calibration(kind, basis, n, alpha)`` is used, which only m3d can
-    build without a seed.
+    ``rho`` and ``theta`` go to :func:`moderation`.  ``calibration`` is a
+    :func:`null_calibration` made for this kind, n, alpha and spectrum
+    (ValueError otherwise); without one, ``calibrate``, ``reps`` and ``seed``
+    go to ``null_calibration``, called once every other argument is checked.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if kind != "m3d" and (rho is not None or theta is not None):
-        raise ValueError("%s takes no rho or theta; they set the moderation of m3d"
-                         % kind)
     n = sample.n
+    rho, grid = moderation(kind, basis, n, rho=rho, theta=theta)
     if calibration is None:
-        calibration = null_calibration(kind, basis, n, alpha)
+        calibration = null_calibration(kind, basis, n, alpha, calibrate=calibrate,
+                                       reps=reps, seed=seed)
+    elif (calibrate, reps, seed) != (None, None, None):
+        raise ValueError("calibration (--calibration) and calibrate, reps or seed "
+                         "(--calibrate, --seed) exclude each other")
     want = dict(zip(("kind", "n"), null_key(kind, n)), alpha=alpha,
                 spectrum=spectrum_digest(basis))
     diff = ["%s %s (calibration) != %s (test)" % (k, getattr(calibration, k), v)
@@ -332,17 +352,10 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     if diff:
         raise ValueError("the calibration was made for another test: " + "; ".join(diff))
     params: dict = {"K": basis.truncation, "alpha": alpha}
-    if kind == "m3d":
-        if rho is not None and theta is not None:
-            raise ValueError("m3d takes rho or theta, not both")
-        if rho is None:
-            if theta is None:
-                raise ValueError("m3d requires rho (or theta for the schedule)")
-            rho = rho_schedule(n, basis.decay_exponent, theta)
+    if rho is not None:
         params["rho"] = rho
     summary = basis.summary(sample.points)
     if kind == "adaptive":
-        grid = adaptive_grid(n, basis.decay_exponent)
         best = _adaptive(basis, grid, summary)
         stat = best.value
         params.update(rho_star=grid.rho_star, m_star=grid.m_star,

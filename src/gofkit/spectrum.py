@@ -434,8 +434,8 @@ class ModeratedSpectrum:
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 <= self.rho < math.inf:  # NaN fails too
+            raise ValueError("rho must be finite and nonnegative")
 
     @property
     def moderated_eigenvalues(self) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gofkit import calibrate as cal
 from gofkit import cli
 from gofkit.embedding import null_calibration
 from gofkit.spectrum import load_spectrum
@@ -552,6 +553,33 @@ def test_m3d_refuses_rho_and_theta(centered_file, data_file, capsys):
     assert "rho or theta, not both" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("kind, flags", [
+    ("adaptive", ["--calibrate", "mc:400", "--seed", "1", "--rho", "0.5"]),
+    ("mmd", ["--seed", "1", "--theta", "0"]),
+])
+def test_a_refused_moderation_draws_no_null(centered_file, data_file, capsys, monkeypatch,
+                                            kind, flags):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a Monte-Carlo null was drawn before the refusal")
+
+    for name in ("empirical_null_quantile", "chisq_mix_quantile"):
+        monkeypatch.setattr(cal, name, drawn)
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(centered_file),
+                     "--data", str(data_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert "%s takes no rho or theta" % kind in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--theta", "nan"), ("--rho", "nan"),
+                                         ("--theta", "inf"), ("--rho", "inf")])
+def test_m3d_refuses_a_non_finite_rho_or_theta(centered_file, data_file, capsys,
+                                               flag, value):
+    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                     "--data", str(data_file), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "%s must be finite" % flag[2:] in captured.err and captured.out == ""
+
+
 def test_calibration_file_has_no_truncation_bias(centered_file, data_file, tmp_path,
                                                  capsys):
     out = tmp_path / "mmd.cal"
@@ -637,6 +665,14 @@ def test_calibration_file_and_calibrate_mode_exclude_each_other(centered_file, d
     assert _test_with(centered_file, data_file, cal_file, "adaptive",
                       "--calibrate", "theory") == 1
     assert "exclude each other" in capsys.readouterr().err
+
+
+def test_calibration_file_and_seed_exclude_each_other(centered_file, data_file, tmp_path,
+                                                      capsys):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd")
+    assert _test_with(centered_file, data_file, cal_file, "mmd", "--seed", "3") == 1
+    captured = capsys.readouterr()
+    assert "exclude each other" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -126,7 +126,7 @@ def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, 
         null_calibration("ks", basis, 20, ALPHA, seed=1)
     for kind in ("mmd", "m3d"):
         with pytest.raises(ValueError, match="adaptive"):
-            null_calibration(kind, basis, 20, ALPHA, seed=1, theory=True)
+            null_calibration(kind, basis, 20, ALPHA, seed=1, calibrate="theory")
     with pytest.raises(ValueError, match="seed"):
         null_calibration("adaptive", basis, 20, ALPHA)
     with pytest.raises(ValueError, match="normal quantile"):
@@ -135,7 +135,7 @@ def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, 
     data = tmp_path / "x.csv"
     np.savetxt(data, sample.points, delimiter=",")
     for typo, err in (("thoery", "unknown --calibrate mode"), ("MC", "unknown --calibrate mode"),
-                      ("normal", "applies to the m3d test")):
+                      ("", "unknown --calibrate mode"), ("normal", "applies to the m3d test")):
         assert cli.main(["test", "--kind", "adaptive", "--spectrum", str(centered_spec),
                          "--data", str(data), "--seed", "1", "--calibrate", typo]) == 1
         assert err in capsys.readouterr().err

@@ -422,7 +422,7 @@ def test_run_test_evaluates_the_adaptive_grid_once(monkeypatch):
 
     monkeypatch.setattr(embedding, "_studentized", spy)
     report = run_test("adaptive", basis, sample, 0.05, calibration=null_calibration(
-        "adaptive", basis, sample.n, 0.05, theory=True))
+        "adaptive", basis, sample.n, 0.05, calibrate="theory"))
     grid = adaptive_grid(sample.n, basis.decay_exponent)
     assert calls == [grid.values.size]
     best = adaptive_stat(basis, grid, sample)
@@ -483,7 +483,7 @@ def test_run_test_adaptive_theory_threshold():
     basis = cosine_basis(32)
     sample = Sample(np.random.default_rng(2).random(1000))
     report = run_test("adaptive", basis, sample, 0.05, calibration=null_calibration(
-        "adaptive", basis, sample.n, 0.05, theory=True))
+        "adaptive", basis, sample.n, 0.05, calibrate="theory"))
     assert report.threshold == pytest.approx(2.4079, abs=1e-4)
     assert report.parameters["theory_threshold"] == report.threshold
 
@@ -521,9 +521,44 @@ def test_run_test_refuses_rho_and_theta_outside_m3d(kind, moderation):
     basis = cosine_basis(16)
     sample = Sample(np.random.default_rng(3).random(40))
     calibration = null_calibration(kind, basis, 40, 0.05, reps=200, seed=1,
-                                   theory=kind == "adaptive")
+                                   calibrate="theory" if kind == "adaptive" else None)
     with pytest.raises(ValueError, match="%s takes no rho or theta" % kind):
         run_test(kind, basis, sample, 0.05, calibration=calibration, **moderation)
+
+
+@pytest.mark.parametrize("kind", ["mmd", "adaptive"])
+def test_run_test_refuses_rho_before_drawing_a_null(kind, monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a Monte-Carlo null was drawn before the refusal")
+
+    for name in ("empirical_null_quantile", "chisq_mix_quantile"):
+        monkeypatch.setattr(cal, name, drawn)
+    sample = Sample(np.random.default_rng(3).random(40))
+    with pytest.raises(ValueError, match="%s takes no rho or theta" % kind):
+        run_test(kind, cosine_basis(16), sample, 0.05, seed=1, rho=0.5)
+
+
+@pytest.mark.parametrize("extra", [{"calibrate": "mc"}, {"reps": 500}, {"seed": 1}])
+def test_run_test_refuses_a_null_request_beside_a_ready_calibration(extra):
+    basis = cosine_basis(16)
+    sample = Sample(np.random.default_rng(3).random(40))
+    ready = null_calibration("mmd", basis, 40, 0.05, reps=200, seed=1)
+    with pytest.raises(ValueError, match="exclude each other"):
+        run_test("mmd", basis, sample, 0.05, calibration=ready, **extra)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_rho_or_theta_is_refused(bad):
+    basis = cosine_basis(16)
+    sample = Sample(np.random.default_rng(3).random(40))
+    with pytest.raises(ValueError, match="rho must be finite"):
+        run_test("m3d", basis, sample, 0.05, rho=bad)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        run_test("m3d", basis, sample, 0.05, theta=bad)
+    with pytest.raises(ValueError, match="rho must be finite"):
+        ModeratedSpectrum(basis, bad)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        rho_schedule(100, 1.0, bad)
 
 
 def test_run_test_unknown_kind():

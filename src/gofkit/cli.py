@@ -5,7 +5,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -178,9 +180,93 @@ def _calibration_file_chunks(c: cal.NullCalibration):
     yield b"]}\n"
 
 
+# The replicate text of a calibration file: float reprs, each with a fraction
+# or an exponent, joined by ", ".  Its bytes fall into the classes below,
+# "1" standing for the digits 1-9 and class 0 for any other byte; _NEXT says
+# which class may follow which.
+_CLASSES = "10.e+-, "
+_NEXT = {"1": "10.e,", "0": "10.e,", ".": "10", "e": "10+-", "+": "10", "-": "10",
+         ",": " ", " ": "10-"}
+_ZERO, _DOT, _EXP, _MINUS, _SPACE = (_CLASSES.index(c) + 1 for c in "0.e- ")
+_TO_CLASS = bytearray(256)  # a bytes.translate table
+_FOLLOWS = bytearray(256)  # 1 at 9 * class + next class if that may follow
+for _i, _c in enumerate(_CLASSES, 1):
+    for _byte in ("123456789" if _c == "1" else _c).encode():
+        _TO_CLASS[_byte] = _i
+    for _next in _NEXT[_c]:
+        _FOLLOWS[9 * _i + _CLASSES.index(_next) + 1] = 1
+_TO_CLASS, _FOLLOWS = bytes(_TO_CLASS), bytes(_FOLLOWS)
+_REPLICATES = b'"replicates": ['
+_READ_BLOCK = 1 << 16
+
+
+def _parse_replicates(piece: bytes, out: np.ndarray, filled: int):
+    """Write the numbers of ``piece`` to ``out[filled:]`` and return the new
+    fill; None unless ``piece`` is replicate text (see ``_CLASSES``) that fits.
+
+    Such text means in JSON what it means to numpy: no sign "+", bare ".",
+    leading zero or integer, which JSON reads differently or refuses."""
+    c = np.frombuffer((b" " + piece + b",").translate(_TO_CLASS), np.uint8)
+    if 0 in (9 * c[:-1] + c[1:]).tobytes().translate(_FOLLOWS):
+        return None
+    starts = np.flatnonzero(c[:-1] == _SPACE) + 1
+    first = starts + (c[starts] == _MINUS)  # each number's first digit
+    # a leading zero ("01", "-01": the digit classes are 1 and 2), or a
+    # number with neither fraction nor exponent
+    if (np.any((c[first] == _ZERO) & (c[first + 1] <= _ZERO))
+            or not np.logical_or.reduceat((c == _DOT) | (c == _EXP), starts).all()):
+        return None
+    try:
+        values = np.fromstring(piece, sep=",")  # refuses "1.2.3", "1e2e3"
+    except ValueError:
+        return None
+    if values.size != starts.size or filled + values.size > out.size:
+        return None
+    out[filled:filled + values.size] = values
+    return filled + values.size
+
+
+def _record_in_writer_layout(path) -> Optional[dict]:
+    """The JSON record of a calibration file in the layout
+    :func:`_calibration_file_chunks` writes, its replicates read straight into
+    one float64 array: the fields up to ``"replicates": [``, then ``reps``
+    numbers in replicate text, then ``]}``.  None for any other file.
+
+    The text is read a block at a time, and no Python float is made."""
+    with open(path, "rb") as fh:
+        head = fh.read(_READ_BLOCK)
+        at = head.find(_REPLICATES)
+        if at < 0:
+            return None
+        start = at + len(_REPLICATES)
+        try:
+            record = json.loads(head[:start - 1].decode("ascii") + "null}")
+        except ValueError:  # UnicodeDecodeError is one too
+            return None
+        reps = record.get("reps") if isinstance(record, dict) else None
+        # reps numbers take at least 5 reps bytes with their separators and "]}"
+        if type(reps) is not int or not 0 < 5 * reps <= os.fstat(fh.fileno()).st_size - start:
+            return None
+        out, filled, text = np.empty(reps), 0, head[start:]
+        while filled is not None and (block := fh.read(_READ_BLOCK)):
+            cut = text.rfind(b", ")  # the number after it may go on in block
+            if cut >= 0:
+                filled = _parse_replicates(text[:cut], out, filled)
+                text = text[cut + 2:]
+            text += block
+    end = text.find(b"]")
+    if (filled is None or end < 0 or text[end:].rstrip(b" \t\n\r") != b"]}"
+            or _parse_replicates(text[:end], out, filled) != reps):
+        return None
+    record["replicates"] = out
+    return record
+
+
 def _calibration_from_file(path) -> cal.NullCalibration:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = _record_in_writer_layout(path)
+    if d is None:  # json.load reads, or refuses, any other file
+        with open(path) as fh:
+            d = json.load(fh)
     if not {"kind", "n", "spectrum"} <= d.keys():
         raise CliError("calibration file %s does not record the kind, n and spectrum "
                        "it was made for (written before gofkit 0.9.0); rerun "

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -49,7 +50,11 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path) -> "Sample":
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        """The rows of a comma-separated file; an empty file is refused with
+        the empty-sample ValueError alone, not numpy's warning first."""
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(pts)
 
 
@@ -290,6 +295,8 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
     samples for adaptive) or "normal" (m3d); "theory" is adaptive's sqrt(3 log
     log n).  ``reps=None`` takes the calibrator's default; MC needs a seed."""
     kind, key_n = null_key(kind, n)
+    if n is not None and n < 1:
+        raise ValueError("n must be a positive sample size, got %d" % n)
     if calibrate not in (None, "mc", "normal", "theory"):
         raise ValueError("unknown --calibrate mode %r" % calibrate)
     if calibrate == "theory":

@@ -57,9 +57,12 @@ class Quadrature:
 
 
 def gauss_legendre_01(n: int) -> Quadrature:
-    """Gauss-Legendre rule mapped to [0, 1] with probability weights."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return Quadrature(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    """n-node Gauss-Legendre rule mapped to [0, 1] with probability weights:
+    the d = 3 case of :func:`_gegenbauer_gauss`, whose T is uniform on [-1, 1]."""
+    if n < 1:
+        raise ValueError("the quadrature needs a positive node count, got %d" % n)
+    t, w = _gegenbauer_gauss(3, n)
+    return Quadrature(nodes=(t + 1.0) / 2.0, weights=w)
 
 
 class SpectralBasis:
@@ -240,8 +243,16 @@ class NystromBasis(SpectralBasis):
             offset = float(w @ r) * s - r @ coef
             coef = coef - np.outer(w, s)
         right = fold(coef)
+
+        def feature_fn(X, m):
+            # the (m, n) product takes the offset in place, so a block is
+            # written once; its transpose is the (n, m) block
+            out = right[:, :m].T @ left(X).T
+            out += offset[:m, None]
+            return out.T
+
         super().__init__(
-            lam, lambda X, m: left(X) @ right[:, :m] + offset[:m],
+            lam, feature_fn,
             null_id=null_id,
             degenerate=bool(np.all(np.abs(w @ self.phi_nodes) <= 1e-6)),
             sup_norms=np.abs(self.phi_nodes).max(axis=0),
@@ -401,6 +412,9 @@ _SUMMARY_BLOCK = 4096
 # matrix and the recurrence's terms stay in cache (256 rows ran 2.3x slower
 # at n = 1000)
 _ZONAL_BLOCK = 64
+# rows per strip of _symmetrize_lower: a strip's difference with the
+# transpose stays small beside the Gram itself
+_GRAM_STRIP = 64
 # how far a point may sit off the null's support: outside [0,1]^d, or by
 # | ||x|| - 1 | off the unit sphere
 _SUPPORT_TOL = 1e-8
@@ -465,8 +479,10 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
                       kernel_id: str = "", center: bool = False) -> NystromBasis:
     """Top-K eigenpairs of the weighted Gram matrix sqrt(w_i w_j) K(x_i, x_j).
 
-    ``kernel(X, Y)`` must return the (len(X), len(Y)) kernel matrix.  With
-    ``center=True`` the kernel is first centered under ``quad``,
+    ``kernel(X, Y)`` must return the (len(X), len(Y)) kernel matrix; a
+    writable float array it returns is centered, checked and scaled in
+    place, so the nodes x nodes Gram is held once.  With ``center=True`` the
+    kernel is first centered under ``quad``,
     K(x,y) - E K(x,.) - E K(.,y) + E E K, which makes the basis degenerate.
     Eigenfunction signs are fixed by a deterministic reference function.
     """
@@ -476,22 +492,28 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     # below with one message, not with numpy's warnings first
     with np.errstate(all="ignore"):
         G = np.asarray(kernel(quad.nodes, quad.nodes), dtype=float)
-    if not np.all(np.isfinite(G)):
+    if not G.flags.writeable:
+        G = G.copy()
+    if not (np.isfinite(G.max()) and np.isfinite(G.min())):  # NaN propagates
         raise ValueError("kernel %r has a non-finite Gram matrix on the quadrature "
                          "nodes" % kernel_id)
+    w = quad.weights
     if center:
-        r = G @ quad.weights
-        G = G - r[:, None] - r[None, :] + float(quad.weights @ G @ quad.weights)
-    scale = max(np.abs(G).max(), 1e-300)
-    if np.abs(G - G.T).max() > 1e-8 * scale:
-        raise ValueError("kernel is not symmetric on the quadrature nodes")
-    G = 0.5 * (G + G.T)
-    sw = np.sqrt(quad.weights)
-    A = sw[:, None] * G * sw[None, :]
-    lam_all, vec_all = np.linalg.eigh(A)
+        r = G @ w
+        g = float(w @ G @ w)
+        G -= r[:, None]
+        G -= r
+        G += g
+    _symmetrize_lower(G)
+    sw = np.sqrt(w)
+    G *= sw[:, None]
+    G *= sw
+    lam_all, vec_all = np.linalg.eigh(G, UPLO="L")
+    del G
     order = np.argsort(-lam_all)
     lam = lam_all[order[:K]]
     vec = vec_all[:, order[:K]]
+    del vec_all
     floor = quad.size * np.finfo(float).eps * max(lam_all.max(), 0.0)
     if lam[-1] <= floor:
         raise DecompositionError(
@@ -509,6 +531,22 @@ def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",
     sign = np.where(sign == 0, 1.0, sign)
     return NystromBasis(lam, kernel, quad, phi_nodes * sign, center=center,
                         null_id=null_id, kernel_id=kernel_id)
+
+
+def _symmetrize_lower(G: np.ndarray) -> None:
+    """ValueError unless the square G is symmetric within 1e-8 of its largest
+    entry; else make its lower triangle, all that ``eigh`` reads, that of
+    (G + G') / 2 in place, one strip of rows at a time."""
+    scale = max(G.max(), -G.min(), 1e-300)
+    n = G.shape[0]
+    for a in range(0, n, _GRAM_STRIP):
+        b = min(a + _GRAM_STRIP, n)
+        low, up = G[a:b, :b], G[:b, a:b].T
+        diff = np.subtract(low, up)
+        if np.abs(diff, out=diff).max() > 1e-8 * scale:
+            raise ValueError("kernel is not symmetric on the quadrature nodes")
+        low += up  # numpy buffers the diagonal block, where the two overlap
+        low *= 0.5
 
 
 def moderated_eval(ms: ModeratedSpectrum, x, y) -> float:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,41 @@ def test_decompose_null_id_is_parsed_once(tmp_path, capsys, null, message):
                      "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", ["0", "-4"])
+def test_decompose_needs_a_quadrature_node(tmp_path, capsys, nodes):
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "4", "--nodes", nodes, "--out", str(out)]) == 1
+    assert ("error: the quadrature needs a positive node count, got %s\n" % nodes
+            == capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, n", [("mmd", "0"), ("mmd", "-5"), ("m3d", "0"),
+                                     ("adaptive", "0")])
+def test_calibrate_needs_a_positive_n(spectrum_file, tmp_path, capsys, kind, n):
+    out = tmp_path / "c.cal"
+    assert cli.main(["calibrate", "--kind", kind, "--spectrum", str(spectrum_file),
+                     "--n", n, "--seed", "1", "--out", str(out), "--quiet"]) == 1
+    assert "n must be a positive sample size, got %s" % n in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_an_empty_data_file_prints_one_error_line(spectrum_file, tmp_path, text):
+    # numpy's loadtxt warns of the missing data, with its source line, before
+    # the sample is refused; a subprocess shows stderr as a user sees it
+    data = tmp_path / "empty.csv"
+    data.write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "gofkit.cli", "test", "--kind", "m3d",
+                           "--theta", "0", "--spectrum", str(spectrum_file),
+                           "--data", str(data)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: sample must contain at least one point\n"
 
 
 def test_decompose_rank_deficient_exits_2(tmp_path, capsys):
@@ -695,6 +732,117 @@ def test_a_corrupted_calibration_file_is_refused(centered_file, data_file, tmp_p
     captured = capsys.readouterr()
     assert "calibration file %s: %s" % (cal_file, message) in captured.err
     assert captured.out == ""
+
+
+def _mmd_file(spec, path, reps=1000):
+    assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(spec), "--n", "200",
+                     "--reps", str(reps), "--seed", "3", "--out", str(path), "--quiet"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("layout", ["writer", "json.dump"])
+def test_a_calibration_file_streams_its_replicates_bit_for_bit(centered_file, tmp_path,
+                                                                monkeypatch, layout):
+    # the writer's chunks and a json.dump of the same record (CI's cut-file
+    # check writes one) are read straight into float64, without json.load
+    cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal")
+    want = null_calibration("mmd", load_spectrum(centered_file), 200, 0.05, reps=1000,
+                            seed=3)
+    if layout == "json.dump":
+        record = json.loads(cal_file.read_text())
+        with open(cal_file, "w") as fh:
+            json.dump(record, fh)
+
+    def refuse(fh):
+        raise AssertionError("json.load read the replicates")
+
+    monkeypatch.setattr(cli.json, "load", refuse)
+    got = cli._calibration_from_file(cal_file)
+    assert got.replicates.dtype == np.float64
+    assert got.replicates.tobytes() == want.replicates.tobytes()
+    assert dataclasses.replace(got, replicates=None) == dataclasses.replace(want,
+                                                                             replicates=None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+       size=st.integers(1, 10_000))
+def test_the_fast_read_keeps_every_bit(tmp_path_factory, values, size):
+    # -0.0, subnormals, 1e+16 and the largest floats take every form a
+    # float repr has; past some 3000 values the text crosses read blocks
+    path = tmp_path_factory.mktemp("bits") / "c.cal"
+    values = np.resize(values, size)
+    c = cal.NullCalibration(method="normal", alpha=0.05, quantile=0.0, reps=values.size,
+                            seed=None, replicates=values)
+    with open(path, "wb") as fh:
+        fh.writelines(cli._calibration_file_chunks(c))
+    assert cli._record_in_writer_layout(path)["replicates"].tobytes() == values.tobytes()
+
+
+def test_reading_a_100k_replicate_file_holds_one_float64_copy(centered_file, tmp_path):
+    # 100 000 replicates are 0.8 MB as float64; json.load held the 2 MB text
+    # and 100 000 Python floats beside them, a 5.3 MB peak
+    cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal", reps=100_000)
+    tracemalloc.start()
+    try:
+        got = cli._calibration_from_file(cal_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.replicates.size == 100_000
+    assert peak <= 2e6
+
+
+def _json_error(text):
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text)
+    return str(info.value)
+
+
+# each edit takes the file out of the writer's layout, so json.load reads it
+# and it is refused with the message it always had
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.rpartition(", ")[0] + "]}\n",
+     "'replicates' holds 999 values but 'reps' is 1000"),
+    (lambda t: t.replace("]}", ", 1.5]}"), "'replicates' holds 1001 values but 'reps' is 1000"),
+    (lambda t: t.replace("]}", ", ]}"), _json_error),
+    (lambda t: t.replace("[", "[NaN, ").replace('"reps": 1000', '"reps": 1001'),
+     "'replicates' holds a non-finite value"),
+    (lambda t: t.replace("]}", ", Infinity]}").replace('"reps": 1000', '"reps": 1001'),
+     "'replicates' holds a non-finite value"),
+    (lambda t: t.replace("]}", ', "x"]}').replace('"reps": 1000', '"reps": 1001'),
+     "could not convert string to float: 'x'"),
+    (lambda t: t.replace("]}", ", abc]}"), _json_error),
+    (lambda t: json.dumps({"replicates": json.loads(t)["replicates"][1:],
+                           **{k: v for k, v in json.loads(t).items() if k != "replicates"}}),
+     "'replicates' holds 999 values but 'reps' is 1000"),
+], ids=["missing-value", "extra-value", "trailing-comma", "nan", "infinity",
+        "string-token", "bare-word", "replicates-first-cut"])
+def test_a_file_outside_the_writer_layout_keeps_its_message(centered_file, data_file,
+                                                            tmp_path, capsys, edit,
+                                                            message):
+    cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal")
+    text = edit(cal_file.read_text())
+    cal_file.write_text(text)
+    if callable(message):
+        message = message(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's parser warns on older releases
+        assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("token", ["+1.5", ".5", "1.", "01.5", "-0", "7", "1E5", "1.5e",
+                                   "1.2.3", "1e5e3", " 1.5", ""])
+def test_other_number_text_leaves_the_fast_read(centered_file, tmp_path, token):
+    # numpy's text parser reads "+1.5" or ".5" where JSON refuses them, and
+    # JSON reads "-0" and "7" as integers: only the writer's float reprs
+    # joined by ", " are read without json.load
+    cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal")
+    cal_file.write_text(cal_file.read_text().replace("]}", ", %s]}" % token))
+    assert cli._record_in_writer_layout(cal_file) is None
 
 
 @pytest.fixture(scope="module")

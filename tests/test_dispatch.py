@@ -141,6 +141,14 @@ def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, 
         assert err in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, n", [("mmd", 0), ("m3d", 0), ("adaptive", -5)])
+def test_null_calibration_needs_a_positive_n(kind, n):
+    # the mmd and m3d nulls do not depend on n, but a file made for n < 1
+    # could decide no sample
+    with pytest.raises(ValueError, match="n must be a positive sample size, got %d" % n):
+        null_calibration(kind, cosine_basis(16), n, ALPHA, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # paired replicates: one draw and one summary per (n, alternative, rep)
 

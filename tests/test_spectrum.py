@@ -58,6 +58,27 @@ def test_quadrature_weights_sum_to_one():
     assert q.nodes.shape == (64, 1)
 
 
+def test_gauss_legendre_01_integrates_legendre_moments():
+    # the rule is exact to degree 2n - 1: sum_i w_i P_k(2 x_i - 1) is 1 for
+    # k = 0 and 0 above, to round-off (numpy's leggauss rule missed by 7.9e-15)
+    n = 512
+    q = gauss_legendre_01(n)
+    t = 2.0 * q.nodes[:, 0] - 1.0
+    prev, cur = np.ones_like(t), t
+    errors = [abs(q.weights @ prev - 1.0)]
+    for k in range(1, 2 * n):
+        errors.append(abs(q.weights @ cur))
+        prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
+    assert max(errors) <= 1e-15
+    assert np.all(np.diff(q.nodes[:, 0]) > 0) and np.all(q.weights > 0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_gauss_legendre_01_needs_a_node(n):
+    with pytest.raises(ValueError, match="positive node count, got %d" % n):
+        gauss_legendre_01(n)
+
+
 def test_quadrature_rejects_bad_weights():
     with pytest.raises(ValueError):
         Quadrature(np.array([[0.1], [0.9]]), np.array([0.7, 0.7]))
@@ -118,6 +139,21 @@ def test_nystrom_extension_matches_nodes():
         err = min(np.abs(feats[:, k - 1] - target).max(),
                   np.abs(feats[:, k - 1] + target).max())
         assert err < 1e-6
+
+
+def test_nystrom_decompose_holds_one_gram():
+    # the 512 x 512 Gram takes 2.1 MB and eigh's eigenvectors as much; the
+    # centered copy, |G|, G - G' and the symmetrized and scaled copies that
+    # each took 2.1 MB more made the peak 9.0 MB
+    quad = gauss_legendre_01(512)
+    kernel = cosine_reference_kernel()
+    tracemalloc.start()
+    try:
+        nystrom_decompose(kernel, quad, 64, null_id="uniform-cube-1", center=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_nystrom_sign_deterministic():

@@ -45,7 +45,7 @@ class NullCalibration:
     kind: Optional[str] = None
     n: Optional[int] = None  # None when the null does not depend on n
     spectrum: Optional[str] = None  # sha256 of the eigenvalues, little-endian f8
-    replicates: Optional[np.ndarray] = None  # last: the file writer streams it
+    replicates: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

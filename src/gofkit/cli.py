@@ -163,76 +163,47 @@ def _basis_from_config(cfg: dict):
 
 
 def _calibration_file_chunks(c: cal.NullCalibration):
-    """The calibration file's JSON text, in pieces: the record's fields in order.
+    """The calibration file's JSON text, in pieces: the record's other fields
+    in order, then "replicates".
 
     The C encoder writes the replicates 8192 at a time, so neither all of
     them as Python floats nor the whole text is ever held at once.
     """
-    head = json.dumps({f.name: None if f.name == "replicates" else getattr(c, f.name)
-                       for f in dataclasses.fields(c)})
+    head = json.dumps({f.name: getattr(c, f.name) for f in dataclasses.fields(c)
+                       if f.name != "replicates"})[:-1]  # without its "}"
     if c.replicates is None:
-        yield (head + "\n").encode()
+        yield (head + ', "replicates": null}\n').encode()
         return
-    yield (head[:-len("null}")] + "[").encode()  # "replicates" is the last field
+    yield (head + ', "replicates": [').encode()
     for i in range(0, c.replicates.size, 8192):
         block = json.dumps(c.replicates[i:i + 8192].tolist())[1:-1]
         yield ((", " if i else "") + block).encode()
     yield b"]}\n"
 
 
-# The replicate text of a calibration file: float reprs, each with a fraction
-# or an exponent, joined by ", ".  Its bytes fall into the classes below,
-# "1" standing for the digits 1-9 and class 0 for any other byte; _NEXT says
-# which class may follow which.
-_CLASSES = "10.e+-, "
-_NEXT = {"1": "10.e,", "0": "10.e,", ".": "10", "e": "10+-", "+": "10", "-": "10",
-         ",": " ", " ": "10-"}
-_ZERO, _DOT, _EXP, _MINUS, _SPACE = (_CLASSES.index(c) + 1 for c in "0.e- ")
-_TO_CLASS = bytearray(256)  # a bytes.translate table
-_FOLLOWS = bytearray(256)  # 1 at 9 * class + next class if that may follow
-for _i, _c in enumerate(_CLASSES, 1):
-    for _byte in ("123456789" if _c == "1" else _c).encode():
-        _TO_CLASS[_byte] = _i
-    for _next in _NEXT[_c]:
-        _FOLLOWS[9 * _i + _CLASSES.index(_next) + 1] = 1
-_TO_CLASS, _FOLLOWS = bytes(_TO_CLASS), bytes(_FOLLOWS)
 _REPLICATES = b'"replicates": ['
 _READ_BLOCK = 1 << 16
 
 
-def _parse_replicates(piece: bytes, out: np.ndarray, filled: int):
-    """Write the numbers of ``piece`` to ``out[filled:]`` and return the new
-    fill; None unless ``piece`` is replicate text (see ``_CLASSES``) that fits.
-
-    Such text means in JSON what it means to numpy: no sign "+", bare ".",
-    leading zero or integer, which JSON reads differently or refuses."""
-    c = np.frombuffer((b" " + piece + b",").translate(_TO_CLASS), np.uint8)
-    if 0 in (9 * c[:-1] + c[1:]).tobytes().translate(_FOLLOWS):
-        return None
-    starts = np.flatnonzero(c[:-1] == _SPACE) + 1
-    first = starts + (c[starts] == _MINUS)  # each number's first digit
-    # a leading zero ("01", "-01": the digit classes are 1 and 2), or a
-    # number with neither fraction nor exponent
-    if (np.any((c[first] == _ZERO) & (c[first + 1] <= _ZERO))
-            or not np.logical_or.reduceat((c == _DOT) | (c == _EXP), starts).all()):
-        return None
-    try:
-        values = np.fromstring(piece, sep=",")  # refuses "1.2.3", "1e2e3"
-    except ValueError:
-        return None
-    if values.size != starts.size or filled + values.size > out.size:
-        return None
-    out[filled:filled + values.size] = values
-    return filled + values.size
+def _fill(out: np.ndarray, filled: int, piece: bytes) -> int:
+    """Write the values of ``piece``, JSON array elements, to ``out[filled:]``
+    as ``json.load`` and ``np.asarray(..., float)`` read them, and return the
+    new fill.  ValueError unless they are one or more numbers that fit."""
+    values = json.loads("[" + piece.decode("ascii") + "]")
+    if not 0 < len(values) <= out.size - filled:  # an empty piece is ", , " text
+        raise ValueError("not a run of replicates")
+    out[filled:filled + len(values)] = values  # refuses a nested array
+    return filled + len(values)
 
 
 def _record_in_writer_layout(path) -> Optional[dict]:
     """The JSON record of a calibration file in the layout
-    :func:`_calibration_file_chunks` writes, its replicates read straight into
-    one float64 array: the fields up to ``"replicates": [``, then ``reps``
-    numbers in replicate text, then ``]}``.  None for any other file.
+    :func:`_calibration_file_chunks` writes, its replicates read into one
+    float64 array: the fields up to ``"replicates": [``, then ``reps`` values
+    joined by ``", "``, then ``]}``.  None for any other file.
 
-    The text is read a block at a time, and no Python float is made."""
+    The text is read 64 KiB at a time and json decodes it a piece at a time,
+    cut at ``", "``, so only a piece's few thousand Python floats exist at once."""
     with open(path, "rb") as fh:
         head = fh.read(_READ_BLOCK)
         at = head.find(_REPLICATES)
@@ -244,20 +215,23 @@ def _record_in_writer_layout(path) -> Optional[dict]:
         except ValueError:  # UnicodeDecodeError is one too
             return None
         reps = record.get("reps") if isinstance(record, dict) else None
-        # reps numbers take at least 5 reps bytes with their separators and "]}"
+        # the writer's values take at least 5 bytes each with their separators
         if type(reps) is not int or not 0 < 5 * reps <= os.fstat(fh.fileno()).st_size - start:
             return None
         out, filled, text = np.empty(reps), 0, head[start:]
-        while filled is not None and (block := fh.read(_READ_BLOCK)):
-            cut = text.rfind(b", ")  # the number after it may go on in block
-            if cut >= 0:
-                filled = _parse_replicates(text[:cut], out, filled)
-                text = text[cut + 2:]
-            text += block
-    end = text.find(b"]")
-    if (filled is None or end < 0 or text[end:].rstrip(b" \t\n\r") != b"]}"
-            or _parse_replicates(text[:end], out, filled) != reps):
-        return None
+        try:
+            while block := fh.read(_READ_BLOCK):
+                cut = text.rfind(b", ")  # the value after it may go on in block
+                if cut >= 0:
+                    filled = _fill(out, filled, text[:cut])
+                    text = text[cut + 2:]
+                text += block
+            end = text.find(b"]")
+            if (end < 0 or text[end:].rstrip(b" \t\n\r") != b"]}"
+                    or _fill(out, filled, text[:end]) != reps):
+                return None
+        except (ValueError, TypeError, OverflowError, RecursionError):
+            return None  # json.load then reads, or refuses, the file
     record["replicates"] = out
     return record
 
@@ -267,12 +241,31 @@ def _calibration_from_file(path) -> cal.NullCalibration:
     if d is None:  # json.load reads, or refuses, any other file
         with open(path) as fh:
             d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("calibration file %s does not hold a JSON object" % path)
     if not {"kind", "n", "spectrum"} <= d.keys():
         raise CliError("calibration file %s does not record the kind, n and spectrum "
                        "it was made for (written before gofkit 0.9.0); rerun "
                        "`gofkit calibrate`" % path)
     fields = {f.name: d[f.name] for f in dataclasses.fields(cal.NullCalibration)
               if f.name in d}  # ignores keys of earlier releases, e.g. truncation_bias
+    missing = [f.name for f in dataclasses.fields(cal.NullCalibration)
+               if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ValueError("calibration file %s has no %r field" % (path, missing[0]))
+    # a field of another type fails the checks below, or the test's decision,
+    # with a Python error; reps only in a Monte-Carlo file, which compares it
+    # with its replicate count
+    mc = isinstance(d["method"], str) and d["method"].endswith("-mc")
+    number = (int, float)
+    for name, types, what in (
+            ("method", str, "a string"), ("alpha", number, "a number"),
+            ("quantile", number, "a number"),
+            ("reps", (*number, type(None)) if mc else object, "a number or null"),
+            ("replicates", (list, np.ndarray, type(None)), "an array or null")):
+        if not isinstance(d.get(name), types):
+            raise ValueError("calibration file %s: %r must be %s, not %s"
+                             % (path, name, what, type(d.get(name)).__name__))
     if fields.get("replicates") is not None:
         fields["replicates"] = np.asarray(fields["replicates"], float)
     c = cal.NullCalibration(**fields)

@@ -294,6 +294,8 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
     kind's method: "mc" (chi-square-mixture MC for mmd, empirical MC over null
     samples for adaptive) or "normal" (m3d); "theory" is adaptive's sqrt(3 log
     log n).  ``reps=None`` takes the calibrator's default; MC needs a seed."""
+    if not 0.0 < alpha < 1.0:  # before any null is drawn
+        raise ValueError("alpha must lie in (0, 1)")
     kind, key_n = null_key(kind, n)
     if n is not None and n < 1:
         raise ValueError("n must be a positive sample size, got %d" % n)

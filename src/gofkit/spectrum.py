@@ -891,6 +891,8 @@ def load_spectrum(path) -> SpectralBasis:
 
         hlen = struct.unpack("<I", read(4))[0]
         header = json.loads(read(hlen).decode())
+        if not isinstance(header, dict):
+            raise ValueError("spectrum file %s: its header is not a JSON object" % path)
 
         def read_array():
             ndim = struct.unpack("<I", read(4))[0]

@@ -734,6 +734,57 @@ def test_a_corrupted_calibration_file_is_refused(centered_file, data_file, tmp_p
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: [1, 2], " does not hold a JSON object"),
+    (lambda r: {**r, "reps": "200"}, ": 'reps' must be a number or null, not str"),
+    (lambda r: {**r, "alpha": "0.05"}, ": 'alpha' must be a number, not str"),
+    (lambda r: {**r, "method": 5}, ": 'method' must be a string, not int"),
+    (lambda r: {**r, "replicates": {"a": 1}}, ": 'replicates' must be an array or null, not dict"),
+    (lambda r: {k: v for k, v in r.items() if k != "seed"}, " has no 'seed' field"),
+], ids=["not-an-object", "string-reps", "string-alpha", "number-method", "object-replicates",
+        "no-seed"])
+def test_a_malformed_calibration_file_is_one_error_line(centered_file, data_file, tmp_path,
+                                                        capsys, edit, message):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd")
+    cal_file.write_text(json.dumps(edit(json.loads(cal_file.read_text()))))
+    assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: calibration file %s%s\n" % (cal_file, message)
+    assert captured.out == ""
+
+
+def test_a_spectrum_file_whose_header_is_not_an_object_is_refused(centered_file, data_file,
+                                                                  capsys):
+    import struct
+
+    from gofkit.spectrum import _MAGIC
+    data = centered_file.read_bytes()
+    hlen = struct.unpack("<I", data[len(_MAGIC):len(_MAGIC) + 4])[0]
+    centered_file.write_bytes(data[:len(_MAGIC)] + struct.pack("<I", 2) + b"[]"
+                              + data[len(_MAGIC) + 4 + hlen:])
+    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(centered_file),
+                     "--data", str(data_file), "--theta", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: spectrum file %s: its header is not a JSON object\n"
+                            % centered_file)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0"])
+def test_calibrate_refuses_alpha_before_drawing(centered_file, tmp_path, capsys,
+                                                monkeypatch, alpha):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a null was drawn before alpha was checked")
+
+    monkeypatch.setattr(cal, "empirical_null_quantile", drawn)
+    out = tmp_path / "adaptive.cal"
+    assert cli.main(["calibrate", "--kind", "adaptive", "--spectrum", str(centered_file),
+                     "--n", "200", "--alpha", alpha, "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "alpha must lie in (0, 1)" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def _mmd_file(spec, path, reps=1000):
     assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(spec), "--n", "200",
                      "--reps", str(reps), "--seed", "3", "--out", str(path), "--quiet"]) == 0
@@ -827,7 +878,7 @@ def test_a_file_outside_the_writer_layout_keeps_its_message(centered_file, data_
     if callable(message):
         message = message(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's parser warns on older releases
+        warnings.simplefilter("error")  # the refusal is its one error line, no warning
         assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -837,12 +888,19 @@ def test_a_file_outside_the_writer_layout_keeps_its_message(centered_file, data_
 @pytest.mark.parametrize("token", ["+1.5", ".5", "1.", "01.5", "-0", "7", "1E5", "1.5e",
                                    "1.2.3", "1e5e3", " 1.5", ""])
 def test_other_number_text_leaves_the_fast_read(centered_file, tmp_path, token):
-    # numpy's text parser reads "+1.5" or ".5" where JSON refuses them, and
-    # JSON reads "-0" and "7" as integers: only the writer's float reprs
-    # joined by ", " are read without json.load
+    # reps counts the appended token, so only the token decides: the fast
+    # read gives json.load's value for the text JSON reads ("-0" and "7" are
+    # integers there, "-0" a +0.0 in float64) and leaves the rest to json.load
     cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal")
-    cal_file.write_text(cal_file.read_text().replace("]}", ", %s]}" % token))
-    assert cli._record_in_writer_layout(cal_file) is None
+    cal_file.write_text(cal_file.read_text().replace("]}", ", %s]}" % token)
+                        .replace('"reps": 1000', '"reps": 1001'))
+    got = cli._record_in_writer_layout(cal_file)
+    if token in ("-0", "7", "1E5", " 1.5"):
+        with open(cal_file) as fh:
+            want = np.asarray(json.load(fh)["replicates"], float)
+        assert got["replicates"].tobytes() == want.tobytes()
+    else:
+        assert got is None
 
 
 @pytest.fixture(scope="module")

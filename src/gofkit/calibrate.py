@@ -8,8 +8,10 @@ memory of a calibration does not grow with the spectrum; blocks of
 """
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
-from dataclasses import dataclass
+import os
 from statistics import NormalDist
 from typing import Callable, Optional
 
@@ -27,7 +29,7 @@ _CHISQ_CHUNK = 8192
 _CHISQ_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class NullCalibration:
     """A calibrated rejection threshold plus enough state for p-values.
 
@@ -151,3 +153,132 @@ def empirical_null_quantile(statistic: Callable, null_sampler: Callable,
         method="empirical-mc", alpha=alpha,
         quantile=order_stat_quantile(stats, alpha),
         reps=reps, seed=seed, replicates=stats)
+
+
+# ---------------------------------------------------------------------------
+# the calibration file: the JSON of a record's fields, replicates last
+
+
+def calibration_file_chunks(c: NullCalibration):
+    """The calibration file's JSON text, in pieces: the record's other fields
+    in order, then "replicates".
+
+    The C encoder writes the replicates 8192 at a time, so neither all of
+    them as Python floats nor the whole text is ever held at once.
+    """
+    head = json.dumps({f.name: getattr(c, f.name) for f in dataclasses.fields(c)
+                       if f.name != "replicates"})[:-1]  # without its "}"
+    if c.replicates is None:
+        yield (head + ', "replicates": null}\n').encode()
+        return
+    yield (head + ', "replicates": [').encode()
+    for i in range(0, c.replicates.size, 8192):
+        block = json.dumps(c.replicates[i:i + 8192].tolist())[1:-1]
+        yield ((", " if i else "") + block).encode()
+    yield b"]}\n"
+
+
+_REPLICATES = b'"replicates": ['
+_READ_BLOCK = 1 << 16
+
+
+def _fill(out: np.ndarray, filled: int, piece: bytes) -> int:
+    """Write the values of ``piece``, JSON array elements, to ``out[filled:]``
+    as ``json.load`` and ``np.asarray(..., float)`` read them, and return the
+    new fill.  ValueError unless they are one or more numbers that fit."""
+    values = json.loads("[" + piece.decode("ascii") + "]")
+    if not 0 < len(values) <= out.size - filled:  # an empty piece is ", , " text
+        raise ValueError("not a run of replicates")
+    out[filled:filled + len(values)] = values  # refuses a nested array
+    return filled + len(values)
+
+
+def _record_in_writer_layout(path) -> Optional[dict]:
+    """The JSON record of a calibration file in the layout
+    :func:`calibration_file_chunks` writes, its replicates read into one
+    float64 array: the fields up to ``"replicates": [``, then ``reps`` values
+    joined by ``", "``, then ``]}``.  None for any other file.
+
+    The text is read 64 KiB at a time and json decodes it a piece at a time,
+    cut at ``", "``, so only a piece's few thousand Python floats exist at once."""
+    with open(path, "rb") as fh:
+        head = fh.read(_READ_BLOCK)
+        at = head.find(_REPLICATES)
+        if at < 0:
+            return None
+        start = at + len(_REPLICATES)
+        try:
+            record = json.loads(head[:start - 1].decode("ascii") + "null}")
+        except ValueError:  # UnicodeDecodeError is one too
+            return None
+        reps = record.get("reps") if isinstance(record, dict) else None
+        # the writer's values take at least 5 bytes each with their separators
+        if type(reps) is not int or not 0 < 5 * reps <= os.fstat(fh.fileno()).st_size - start:
+            return None
+        out, filled, text = np.empty(reps), 0, head[start:]
+        try:
+            while block := fh.read(_READ_BLOCK):
+                cut = text.rfind(b", ")  # the value after it may go on in block
+                if cut >= 0:
+                    filled = _fill(out, filled, text[:cut])
+                    text = text[cut + 2:]
+                text += block
+            end = text.find(b"]")
+            if (end < 0 or text[end:].rstrip(b" \t\n\r") != b"]}"
+                    or _fill(out, filled, text[:end]) != reps):
+                return None
+        except (ValueError, TypeError, OverflowError, RecursionError):
+            return None  # json.load then reads, or refuses, the file
+    record["replicates"] = out
+    return record
+
+
+def read_calibration(path) -> NullCalibration:
+    """The record of the calibration file at ``path``; ValueError, naming the
+    file and the field, for one that :func:`calibration_file_chunks` did not write."""
+    d = _record_in_writer_layout(path)
+    if d is None:  # json.load reads, or refuses, any other file
+        with open(path) as fh:
+            d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("calibration file %s does not hold a JSON object" % path)
+    if not {"kind", "n", "spectrum"} <= d.keys():
+        raise ValueError("calibration file %s does not record the kind, n and spectrum "
+                         "it was made for (written before gofkit 0.9.0); rerun "
+                         "`gofkit calibrate`" % path)
+    fields = {f.name: d[f.name] for f in dataclasses.fields(NullCalibration)
+              if f.name in d}  # ignores keys of earlier releases, e.g. truncation_bias
+    missing = [f.name for f in dataclasses.fields(NullCalibration)
+               if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ValueError("calibration file %s has no %r field" % (path, missing[0]))
+    # a field of another type fails the checks below, or the test's decision,
+    # with a Python error; reps only in a Monte-Carlo file, which compares it
+    # with its replicate count
+    mc = isinstance(d["method"], str) and d["method"].endswith("-mc")
+    number = (int, float)
+    for name, types, what in (
+            ("method", str, "a string"), ("alpha", number, "a number"),
+            ("quantile", number, "a number"),
+            ("reps", (*number, type(None)) if mc else object, "a number or null"),
+            ("replicates", (list, np.ndarray, type(None)), "an array or null")):
+        if not isinstance(d.get(name), types):
+            raise ValueError("calibration file %s: %r must be %s, not %s"
+                             % (path, name, what, type(d.get(name)).__name__))
+    if fields.get("replicates") is not None:
+        fields["replicates"] = np.asarray(fields["replicates"], float)
+    c = NullCalibration(**fields)
+    values = c.replicates
+    if values is not None or c.method.endswith("-mc"):
+        count = 0 if values is None else values.size
+        if count != c.reps:
+            raise ValueError("calibration file %s: 'replicates' holds %d values but "
+                             "'reps' is %s" % (path, count, c.reps))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("calibration file %s: 'replicates' holds a non-finite "
+                             "value" % path)
+        if c.quantile != order_stat_quantile(values, c.alpha):
+            raise ValueError("calibration file %s: 'quantile' %r is not the "
+                             "ceil((1-alpha) reps) order statistic of its replicates"
+                             % (path, c.quantile))
+    return c

@@ -2,14 +2,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import os
 import sys
-from typing import Optional
-
-import numpy as np
 
 from . import bench, calibrate as cal, dists, kernels
 from .embedding import Sample, null_calibration, run_test
@@ -26,13 +21,9 @@ from .spectrum import (
     write_atomic,
 )
 
-class CliError(Exception):
-    """Validation failure; maps to exit status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _common_flags(p, seed=True):
@@ -126,6 +117,14 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
+def _read_json_object(path, what: str) -> dict:
+    with open(path) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("%s file %s does not hold a JSON object" % (what, path))
+    return d
+
+
 def _build_spectrum(args):
     null = args.null
     family, d = parse_null_id(null)
@@ -142,8 +141,8 @@ def _build_spectrum(args):
                                  gauss_legendre_01(args.nodes), args.trunc,
                                  null_id=null, kernel_id=args.kernel,
                                  center=args.center)
-    raise CliError("unsupported null id for decompose: %r "
-                   "(use uniform-cube-1 or uniform-sphere-D)" % null)
+    raise ValueError("unsupported null id for decompose: %r "
+                     "(use uniform-cube-1 or uniform-sphere-D)" % null)
 
 
 def _basis_from_config(cfg: dict):
@@ -159,130 +158,7 @@ def _basis_from_config(cfg: dict):
         profile = kernels.zonal_profile(cfg["profile"])
         return sphere_zonal_spectrum(profile, int(cfg["d"]),
                                      int(cfg.get("degree_max", 10)))
-    raise CliError("unknown basis type %r in plan" % kind)
-
-
-def _calibration_file_chunks(c: cal.NullCalibration):
-    """The calibration file's JSON text, in pieces: the record's other fields
-    in order, then "replicates".
-
-    The C encoder writes the replicates 8192 at a time, so neither all of
-    them as Python floats nor the whole text is ever held at once.
-    """
-    head = json.dumps({f.name: getattr(c, f.name) for f in dataclasses.fields(c)
-                       if f.name != "replicates"})[:-1]  # without its "}"
-    if c.replicates is None:
-        yield (head + ', "replicates": null}\n').encode()
-        return
-    yield (head + ', "replicates": [').encode()
-    for i in range(0, c.replicates.size, 8192):
-        block = json.dumps(c.replicates[i:i + 8192].tolist())[1:-1]
-        yield ((", " if i else "") + block).encode()
-    yield b"]}\n"
-
-
-_REPLICATES = b'"replicates": ['
-_READ_BLOCK = 1 << 16
-
-
-def _fill(out: np.ndarray, filled: int, piece: bytes) -> int:
-    """Write the values of ``piece``, JSON array elements, to ``out[filled:]``
-    as ``json.load`` and ``np.asarray(..., float)`` read them, and return the
-    new fill.  ValueError unless they are one or more numbers that fit."""
-    values = json.loads("[" + piece.decode("ascii") + "]")
-    if not 0 < len(values) <= out.size - filled:  # an empty piece is ", , " text
-        raise ValueError("not a run of replicates")
-    out[filled:filled + len(values)] = values  # refuses a nested array
-    return filled + len(values)
-
-
-def _record_in_writer_layout(path) -> Optional[dict]:
-    """The JSON record of a calibration file in the layout
-    :func:`_calibration_file_chunks` writes, its replicates read into one
-    float64 array: the fields up to ``"replicates": [``, then ``reps`` values
-    joined by ``", "``, then ``]}``.  None for any other file.
-
-    The text is read 64 KiB at a time and json decodes it a piece at a time,
-    cut at ``", "``, so only a piece's few thousand Python floats exist at once."""
-    with open(path, "rb") as fh:
-        head = fh.read(_READ_BLOCK)
-        at = head.find(_REPLICATES)
-        if at < 0:
-            return None
-        start = at + len(_REPLICATES)
-        try:
-            record = json.loads(head[:start - 1].decode("ascii") + "null}")
-        except ValueError:  # UnicodeDecodeError is one too
-            return None
-        reps = record.get("reps") if isinstance(record, dict) else None
-        # the writer's values take at least 5 bytes each with their separators
-        if type(reps) is not int or not 0 < 5 * reps <= os.fstat(fh.fileno()).st_size - start:
-            return None
-        out, filled, text = np.empty(reps), 0, head[start:]
-        try:
-            while block := fh.read(_READ_BLOCK):
-                cut = text.rfind(b", ")  # the value after it may go on in block
-                if cut >= 0:
-                    filled = _fill(out, filled, text[:cut])
-                    text = text[cut + 2:]
-                text += block
-            end = text.find(b"]")
-            if (end < 0 or text[end:].rstrip(b" \t\n\r") != b"]}"
-                    or _fill(out, filled, text[:end]) != reps):
-                return None
-        except (ValueError, TypeError, OverflowError, RecursionError):
-            return None  # json.load then reads, or refuses, the file
-    record["replicates"] = out
-    return record
-
-
-def _calibration_from_file(path) -> cal.NullCalibration:
-    d = _record_in_writer_layout(path)
-    if d is None:  # json.load reads, or refuses, any other file
-        with open(path) as fh:
-            d = json.load(fh)
-    if not isinstance(d, dict):
-        raise ValueError("calibration file %s does not hold a JSON object" % path)
-    if not {"kind", "n", "spectrum"} <= d.keys():
-        raise CliError("calibration file %s does not record the kind, n and spectrum "
-                       "it was made for (written before gofkit 0.9.0); rerun "
-                       "`gofkit calibrate`" % path)
-    fields = {f.name: d[f.name] for f in dataclasses.fields(cal.NullCalibration)
-              if f.name in d}  # ignores keys of earlier releases, e.g. truncation_bias
-    missing = [f.name for f in dataclasses.fields(cal.NullCalibration)
-               if f.default is dataclasses.MISSING and f.name not in d]
-    if missing:
-        raise ValueError("calibration file %s has no %r field" % (path, missing[0]))
-    # a field of another type fails the checks below, or the test's decision,
-    # with a Python error; reps only in a Monte-Carlo file, which compares it
-    # with its replicate count
-    mc = isinstance(d["method"], str) and d["method"].endswith("-mc")
-    number = (int, float)
-    for name, types, what in (
-            ("method", str, "a string"), ("alpha", number, "a number"),
-            ("quantile", number, "a number"),
-            ("reps", (*number, type(None)) if mc else object, "a number or null"),
-            ("replicates", (list, np.ndarray, type(None)), "an array or null")):
-        if not isinstance(d.get(name), types):
-            raise ValueError("calibration file %s: %r must be %s, not %s"
-                             % (path, name, what, type(d.get(name)).__name__))
-    if fields.get("replicates") is not None:
-        fields["replicates"] = np.asarray(fields["replicates"], float)
-    c = cal.NullCalibration(**fields)
-    values = c.replicates
-    if values is not None or c.method.endswith("-mc"):
-        count = 0 if values is None else values.size
-        if count != c.reps:
-            raise CliError("calibration file %s: 'replicates' holds %d values but "
-                           "'reps' is %s" % (path, count, c.reps))
-        if not np.all(np.isfinite(values)):
-            raise CliError("calibration file %s: 'replicates' holds a non-finite "
-                           "value" % path)
-        if c.quantile != cal.order_stat_quantile(values, c.alpha):
-            raise CliError("calibration file %s: 'quantile' %r is not the "
-                           "ceil((1-alpha) reps) order statistic of its replicates"
-                           % (path, c.quantile))
-    return c
+    raise ValueError("unknown basis type %r in plan" % kind)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +179,13 @@ def _cmd_test(args) -> int:
     mode, sep, arg = (calibrate or "").partition(":")
     if sep:  # only mc takes an argument, its replicate count
         if mode != "mc":
-            raise CliError("--calibrate %s takes no argument, got %r" % (mode, calibrate))
+            raise ValueError("--calibrate %s takes no argument, got %r" % (mode, calibrate))
         if not arg.isdigit():
-            raise CliError("--calibrate mc:REPS needs a whole number of "
-                           "replicates, got %r" % calibrate)
+            raise ValueError("--calibrate mc:REPS needs a whole number of "
+                             "replicates, got %r" % calibrate)
         calibrate, reps = mode, int(arg)
-    calibration = (None if args.calibration is None
-                   else _calibration_from_file(args.calibration))
     report = run_test(args.kind, basis, sample, args.alpha, rho=args.rho, theta=args.theta,
-                      calibration=calibration, calibrate=calibrate, reps=reps,
+                      calibration=args.calibration, calibrate=calibrate, reps=reps,
                       seed=args.seed)
     _say(args, report.to_text())
     print(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False))
@@ -322,7 +196,7 @@ def _cmd_calibrate(args) -> int:
     basis = load_spectrum(args.spectrum)
     c = null_calibration(args.kind, basis, args.n, args.alpha,
                          reps=args.reps, seed=args.seed)
-    write_atomic(args.out, _calibration_file_chunks(c))
+    write_atomic(args.out, cal.calibration_file_chunks(c))
     _say(args, "method: %s\nquantile: %.10g\nwrote %s"
          % (c.method, c.quantile, args.out))
     return 0
@@ -336,7 +210,7 @@ def _plan_from_config(cfg: dict, seed_override=None) -> bench.ExperimentPlan:
     calib = cfg.get("calibration", {})
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
-        raise CliError("--seed is required (or a 'seed' field in the plan)")
+        raise ValueError("--seed is required (or a 'seed' field in the plan)")
     return bench.ExperimentPlan(
         basis=basis, alternatives=alts,
         tests=list(cfg["tests"]), n_list=[int(n) for n in cfg["n"]],
@@ -358,13 +232,19 @@ def _run_and_emit(plan: bench.ExperimentPlan, out_dir: str, args) -> int:
 
 
 def _cmd_power(args) -> int:
-    with open(args.plan) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json_object(args.plan, "plan")
+    for name in ("alternatives", "tests", "n"):
+        if name not in cfg:
+            raise ValueError("plan file %s has no %r field" % (args.plan, name))
+    for name in ("basis", "alternatives", "calibration"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ValueError("plan file %s: %r must be a JSON object, not %s"
+                             % (args.plan, name, type(cfg[name]).__name__))
     plan = _plan_from_config(cfg, seed_override=args.seed)
     for entry in args.alt:
         label, eq, flag = entry.partition("=")
         if not eq:
-            raise CliError("--alt expects LABEL=FAMILY:key=val,...")
+            raise ValueError("--alt expects LABEL=FAMILY:key=val,...")
         plan.alternatives[label] = dists.alt_from_flag(flag, basis=plan.basis)
     return _run_and_emit(plan, args.out, args)
 
@@ -372,7 +252,7 @@ def _cmd_power(args) -> int:
 def _cmd_reproduce(args) -> int:
     seed = args.seed
     if seed is None:
-        raise CliError("--seed is required for the reproduction run")
+        raise ValueError("--seed is required for the reproduction run")
     d = 5 if args.scale == "desk" else 100
     out_dir = args.out or ("reproduce-%s" % args.target)
     basis = tensor_product_basis(cosine_basis(32), d, 256)
@@ -399,8 +279,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
+            defaults = _read_json_object(args.config, "config")
             # subparsers keep their own defaults, so overlay the config onto
             # each of them before reparsing; explicit flags still win.  The
             # overlay goes on a parser of its own so no later call sees it.
@@ -409,10 +288,7 @@ def main(argv=None) -> int:
                 sub.set_defaults(**defaults)
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (DecompositionError, RuntimeError, ArithmeticError, OSError) as exc:

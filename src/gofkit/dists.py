@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .calibrate import normal_cdf
+from .kernels import as_points
 from .spectrum import SpectralBasis, parse_null_id, sphere_surface_area
 
 
@@ -356,9 +357,13 @@ def _sample_spectral(p, n, rng):
 
 
 def density(spec: AlternativeSpec, x) -> np.ndarray:
-    """Density w.r.t. Lebesgue measure (cube) or surface measure (sphere)."""
-    x = np.atleast_2d(np.asarray(x, float))
+    """Density w.r.t. Lebesgue measure (cube) or surface measure (sphere) at
+    the rows of ``x``; a 1-D array is a column of points."""
+    x = as_points(x)
     fam, d, p = spec.family, spec.dim, spec.params
+    if x.shape[1] != d:
+        raise ValueError("a %d-dimensional density needs points with %d coordinates, "
+                         "got %d" % (d, d, x.shape[1]))
     if fam == "uniform-cube":
         inside = np.all((x >= 0.0) & (x <= 1.0), axis=1)
         return inside.astype(float)

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -142,8 +143,7 @@ def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:
 
 
 def _mmd_from_summary(basis: SpectralBasis, s: SampleSummary) -> float:
-    if not basis.degenerate:
-        raise ValueError("MMD requires a degenerate (centered) basis")
+    _check_centered("mmd", basis)
     return float(np.sum(s.group_eigenvalues * s.mean_sq))
 
 
@@ -286,6 +286,15 @@ def moderation(kind: str, basis: SpectralBasis, n: int, *, rho: Optional[float] 
     return rho if theta is None else rho_schedule(n, basis.decay_exponent, theta), None
 
 
+def _check_centered(kind: str, basis: SpectralBasis) -> None:
+    """Every test's null needs eigenfunctions of mean 0 under the null: an
+    uncentered one's squared sample mean tends to its squared mean, not to 0,
+    so the statistic grows like n on null data and every test rejects."""
+    if not basis.degenerate:
+        raise ValueError("%s requires a degenerate (centered) basis"
+                         % ("MMD" if kind == "mmd" else kind))
+
+
 def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: float, *,
                      calibrate: Optional[str] = None, reps: Optional[int] = None,
                      seed: Optional[int] = None) -> cal.NullCalibration:
@@ -297,6 +306,7 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
     if not 0.0 < alpha < 1.0:  # before any null is drawn
         raise ValueError("alpha must lie in (0, 1)")
     kind, key_n = null_key(kind, n)
+    _check_centered(kind, basis)
     if n is not None and n < 1:
         raise ValueError("n must be a positive sample size, got %d" % n)
     if calibrate not in (None, "mc", "normal", "theory"):
@@ -334,18 +344,20 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
 
 def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
              rho: Optional[float] = None, theta: Optional[float] = None,
-             calibration: Optional[cal.NullCalibration] = None,
+             calibration: Union[cal.NullCalibration, str, os.PathLike, None] = None,
              calibrate: Optional[str] = None, reps: Optional[int] = None,
              seed: Optional[int] = None) -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
     ``rho`` and ``theta`` go to :func:`moderation`.  ``calibration`` is a
     :func:`null_calibration` made for this kind, n, alpha and spectrum
-    (ValueError otherwise); without one, ``calibrate``, ``reps`` and ``seed``
-    go to ``null_calibration``, called once every other argument is checked.
+    (ValueError otherwise) or the path of its file; without one, ``calibrate``,
+    ``reps`` and ``seed`` go to ``null_calibration``.  Either is read or called
+    once every other argument is checked.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    _check_centered(kind, basis)
     n = sample.n
     rho, grid = moderation(kind, basis, n, rho=rho, theta=theta)
     if calibration is None:
@@ -354,6 +366,8 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
     elif (calibrate, reps, seed) != (None, None, None):
         raise ValueError("calibration (--calibration) and calibrate, reps or seed "
                          "(--calibrate, --seed) exclude each other")
+    elif not isinstance(calibration, cal.NullCalibration):
+        calibration = cal.read_calibration(calibration)
     want = dict(zip(("kind", "n"), null_key(kind, n)), alpha=alpha,
                 spectrum=spectrum_digest(basis))
     diff = ["%s %s (calibration) != %s (test)" % (k, getattr(calibration, k), v)

@@ -352,6 +352,31 @@ def test_power_plan_missing_seed_exits_1(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+_PLAN = {"basis": {"type": "cosine", "K": 16},
+         "alternatives": {"u": {"family": "uniform-cube", "dim": 1}},
+         "tests": ["m3d"], "n": [50], "reps": 5, "seed": 2}
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--plan", [1, 2], "plan file %s does not hold a JSON object"),
+    ("--config", [1, 2], "config file %s does not hold a JSON object"),
+    ("--plan", {k: v for k, v in _PLAN.items() if k != "alternatives"},
+     "plan file %s has no 'alternatives' field"),
+    ("--plan", {**_PLAN, "basis": [16]}, "plan file %s: 'basis' must be a JSON object, "
+                                         "not list"),
+], ids=["plan-list", "config-list", "plan-without-alternatives", "plan-list-basis"])
+def test_a_json_input_that_is_not_its_object_exits_1(tmp_path, capsys, flag, text,
+                                                     message):
+    path, plan = tmp_path / "in.json", tmp_path / "plan.json"
+    path.write_text(json.dumps(text))
+    plan.write_text(json.dumps(_PLAN))
+    argv = ["power", "--plan", str(path if flag == "--plan" else plan),
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv + (["--config", str(path)] if flag == "--config" else [])) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % (message % path))
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_supplies_defaults(spectrum_file, data_file, tmp_path,
                                        capsys):
     cfg = tmp_path / "cfg.json"
@@ -495,26 +520,30 @@ def test_spectrum_header_cannot_overrule_the_eigenpairs(tmp_path, data_file,
                                                         capsys):
     from gofkit.embedding import rho_schedule
     from gofkit.spectrum import load_spectrum
-    spec = tmp_path / "g.spec"
-    assert cli.main(["decompose", "--kernel", "gaussian:0.2", "--null", "uniform-cube-1",
-                     "--trunc", "10", "--nodes", "128", "--out", str(spec),
-                     "--quiet"]) == 0
-    fitted = load_spectrum(spec).decay_exponent
+    centered, spec = tmp_path / "c.spec", tmp_path / "g.spec"
+    for out, flags in ((centered, ["--center"]), (spec, [])):
+        assert cli.main(["decompose", "--kernel", "gaussian:0.2", "--null", "uniform-cube-1",
+                         "--trunc", "10", "--nodes", "128", "--out", str(out),
+                         "--quiet", *flags]) == 0
+    fitted = load_spectrum(centered).decay_exponent
 
     def m3d_rho():
-        assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(spec),
+        assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(centered),
                          "--data", str(data_file), "--quiet"]) == 0
         return json.loads(capsys.readouterr().out)["parameters"]["rho"]
 
     rho = m3d_rho()
     assert rho == rho_schedule(200, fitted, 0.0)
+    _edit_header(centered, lambda header: header.update(decay_exponent=5.0))
+    assert m3d_rho() == rho != rho_schedule(200, 5.0, 0.0)
     # an uncentered kernel leaves the basis nondegenerate, whatever the header says
     _edit_header(spec, lambda header: header.update(degenerate=True, decay_exponent=5.0))
-    assert cli.main(["test", "--kind", "mmd", "--spectrum", str(spec),
-                     "--data", str(data_file), "--seed", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "MMD requires a degenerate" in captured.err and captured.out == ""
-    assert m3d_rho() == rho != rho_schedule(200, 5.0, 0.0)
+    for kind, flags, name in (("mmd", ["--seed", "1"], "MMD"),
+                              ("m3d", ["--theta", "0"], "m3d")):
+        assert cli.main(["test", "--kind", kind, "--spectrum", str(spec),
+                         "--data", str(data_file), *flags]) == 1
+        captured = capsys.readouterr()
+        assert "%s requires a degenerate" % name in captured.err and captured.out == ""
 
 
 @pytest.mark.filterwarnings("ignore:super-polynomial decay")
@@ -785,6 +814,70 @@ def test_calibrate_refuses_alpha_before_drawing(centered_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.fixture()
+def uncentered_file(tmp_path):
+    out = tmp_path / "g.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian:0.2", "--null", "uniform-cube-1",
+                     "--trunc", "16", "--nodes", "256", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind, flags, name", [
+    ("mmd", ["--seed", "1"], "MMD"), ("m3d", ["--theta", "0"], "m3d"),
+    ("adaptive", ["--calibrate", "theory"], "adaptive"), ("adaptive", ["--seed", "1"],
+                                                          "adaptive"),
+], ids=["mmd", "m3d", "adaptive-theory", "adaptive-mc"])
+def test_every_test_refuses_an_uncentered_basis(uncentered_file, data_file, tmp_path, capsys,
+                                               monkeypatch, kind, flags, name):
+    # an uncentered eigenfunction's squared sample mean does not tend to 0
+    # under the null, so the statistic grows like n and every test rejects
+    def drawn(*args, **kwargs):
+        raise AssertionError("a null was drawn or a sample summarised")
+
+    for owner, attr in ((cal, "chisq_mix_quantile"), (cal, "empirical_null_quantile"),
+                        (type(load_spectrum(uncentered_file)), "summary")):
+        monkeypatch.setattr(owner, attr, drawn)
+    message = "error: %s requires a degenerate (centered) basis\n" % name
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(uncentered_file),
+                     "--data", str(data_file), *flags]) == 1
+    assert capsys.readouterr() == ("", message)
+    out = tmp_path / "c.cal"
+    assert cli.main(["calibrate", "--kind", kind, "--spectrum", str(uncentered_file),
+                     "--n", "200", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "1"], "exclude each other"), (["--calibrate", "mc"], "exclude each other"),
+    (["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+    (["--rho", "0.1"], "mmd takes no rho or theta"),
+], ids=["seed", "calibrate", "alpha", "rho"])
+def test_a_refused_request_opens_no_calibration_file(centered_file, data_file, tmp_path,
+                                                     capsys, flags, message):
+    # the file does not exist, so reading it would report that instead
+    missing = tmp_path / "missing.cal"
+    assert _test_with(centered_file, data_file, missing, "mmd", *flags) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "missing.cal" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_run_test_reads_a_calibration_path(centered_file, data_file, tmp_path):
+    from gofkit.embedding import Sample, run_test
+    basis, sample = load_spectrum(centered_file), Sample.from_csv(data_file)
+    for kind, flags in (("mmd", {}), ("m3d", {"theta": 0.0}), ("adaptive", {})):
+        path = _calibrate(centered_file, tmp_path / ("%s.cal" % kind), kind)
+        got = run_test(kind, basis, sample, 0.05, calibration=path, **flags)
+        want = run_test(kind, basis, sample, 0.05, calibration=cal.read_calibration(path),
+                        **flags)
+        assert got == want and got.to_dict() == want.to_dict()
+        a, b = got.calibration, want.calibration
+        assert dataclasses.replace(a, replicates=None) == dataclasses.replace(b, replicates=None)
+        assert (a.replicates is None and b.replicates is None
+                or a.replicates.tobytes() == b.replicates.tobytes())
+
+
 def _mmd_file(spec, path, reps=1000):
     assert cli.main(["calibrate", "--kind", "mmd", "--spectrum", str(spec), "--n", "200",
                      "--reps", str(reps), "--seed", "3", "--out", str(path), "--quiet"]) == 0
@@ -808,7 +901,7 @@ def test_a_calibration_file_streams_its_replicates_bit_for_bit(centered_file, tm
         raise AssertionError("json.load read the replicates")
 
     monkeypatch.setattr(cli.json, "load", refuse)
-    got = cli._calibration_from_file(cal_file)
+    got = cal.read_calibration(cal_file)
     assert got.replicates.dtype == np.float64
     assert got.replicates.tobytes() == want.replicates.tobytes()
     assert dataclasses.replace(got, replicates=None) == dataclasses.replace(want,
@@ -826,8 +919,8 @@ def test_the_fast_read_keeps_every_bit(tmp_path_factory, values, size):
     c = cal.NullCalibration(method="normal", alpha=0.05, quantile=0.0, reps=values.size,
                             seed=None, replicates=values)
     with open(path, "wb") as fh:
-        fh.writelines(cli._calibration_file_chunks(c))
-    assert cli._record_in_writer_layout(path)["replicates"].tobytes() == values.tobytes()
+        fh.writelines(cal.calibration_file_chunks(c))
+    assert cal._record_in_writer_layout(path)["replicates"].tobytes() == values.tobytes()
 
 
 def test_reading_a_100k_replicate_file_holds_one_float64_copy(centered_file, tmp_path):
@@ -836,7 +929,7 @@ def test_reading_a_100k_replicate_file_holds_one_float64_copy(centered_file, tmp
     cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal", reps=100_000)
     tracemalloc.start()
     try:
-        got = cli._calibration_from_file(cal_file)
+        got = cal.read_calibration(cal_file)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -894,7 +987,7 @@ def test_other_number_text_leaves_the_fast_read(centered_file, tmp_path, token):
     cal_file = _mmd_file(centered_file, tmp_path / "mmd.cal")
     cal_file.write_text(cal_file.read_text().replace("]}", ", %s]}" % token)
                         .replace('"reps": 1000', '"reps": 1001'))
-    got = cli._record_in_writer_layout(cal_file)
+    got = cal._record_in_writer_layout(cal_file)
     if token in ("-0", "7", "1E5", " 1.5"):
         with open(cal_file) as fh:
             want = np.asarray(json.load(fh)["replicates"], float)
@@ -917,7 +1010,7 @@ def roundtrip_dir(tmp_path_factory):
        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.5]))
 def test_a_calibration_file_reads_back_as_its_record(roundtrip_dir, kind, n, alpha):
     spec = roundtrip_dir / "s.spec"
-    got = cli._calibration_from_file(_calibrate(spec, roundtrip_dir / "c.cal", kind, n, alpha))
+    got = cal.read_calibration(_calibrate(spec, roundtrip_dir / "c.cal", kind, n, alpha))
     want = null_calibration(kind, load_spectrum(spec), n, alpha,
                             reps=None if kind == "m3d" else 100, seed=3)
     for f in dataclasses.fields(want):

@@ -250,6 +250,16 @@ def test_marron_wand_densities_integrate_to_one():
         assert float(w @ density(spec, y)) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("family", ["marron-wand:skewed-unimodal", "uniform-cube"])
+def test_density_reads_a_1d_array_as_a_column_of_points(family):
+    spec, y = AlternativeSpec(family, 1, {}), np.array([0.1, 0.5, 0.9])
+    assert np.array_equal(density(spec, y), density(spec, y[:, None]))
+    assert density(spec, y).shape == (3,)
+    with pytest.raises(ValueError, match="2-dimensional density needs points with 2 "
+                                         "coordinates, got 1"):
+        density(AlternativeSpec(family, 2, {}), y)
+
+
 def test_mw_sampler_density_agreement():
     # empirical means of fixed test functions vs quadrature means
     spec = AlternativeSpec("marron-wand:asymmetric-claw", 1, {})

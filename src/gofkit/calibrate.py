@@ -266,7 +266,11 @@ def read_calibration(path) -> NullCalibration:
             raise ValueError("calibration file %s: %r must be %s, not %s"
                              % (path, name, what, type(d.get(name)).__name__))
     if fields.get("replicates") is not None:
-        fields["replicates"] = np.asarray(fields["replicates"], float)
+        try:
+            fields["replicates"] = np.asarray(fields["replicates"], float)
+        except (TypeError, OverflowError):  # {} or 10**400, say
+            raise ValueError("calibration file %s: 'replicates' must hold numbers that "
+                             "fit a float" % path) from None
     c = NullCalibration(**fields)
     values = c.replicates
     if values is not None or c.method.endswith("-mc"):

@@ -11,6 +11,7 @@ from .embedding import Sample, null_calibration, run_test
 from .spectrum import (
     DecompositionError,
     cosine_basis,
+    cosine_decompose,
     gauss_legendre_01,
     load_spectrum,
     nystrom_decompose,
@@ -137,12 +138,19 @@ def _build_spectrum(args):
         basis.meta["kernel_id"] = args.kernel
         return basis
     if d == 1:
-        return nystrom_decompose(kernels.resolve_kernel(args.kernel),
-                                 gauss_legendre_01(args.nodes), args.trunc,
-                                 null_id=null, kernel_id=args.kernel,
-                                 center=args.center)
+        kernel = kernels.resolve_kernel(args.kernel)
+        quad = gauss_legendre_01(args.nodes)
+        if kernels.parse_kernel_id(args.kernel)[0] == "cosine-ref":
+            return cosine_decompose(quad, args.trunc, args.kernel)  # centered or not
+        return nystrom_decompose(kernel, quad, args.trunc, null_id=null,
+                                 kernel_id=args.kernel, center=args.center)
     raise ValueError("unsupported null id for decompose: %r "
                      "(use uniform-cube-1 or uniform-sphere-D)" % null)
+
+
+# the fields each basis type of a plan must give
+_PLAN_BASIS_FIELDS = {"cosine": (), "tensor-cosine": ("d",), "spectrum": ("path",),
+                      "sphere": ("profile", "d")}
 
 
 def _basis_from_config(cfg: dict):
@@ -240,6 +248,11 @@ def _cmd_power(args) -> int:
         if not isinstance(cfg.get(name, {}), dict):
             raise ValueError("plan file %s: %r must be a JSON object, not %s"
                              % (args.plan, name, type(cfg[name]).__name__))
+    kind = cfg.get("basis", {}).get("type", "cosine")
+    for name in _PLAN_BASIS_FIELDS.get(kind, ()) if isinstance(kind, str) else ():
+        if name not in cfg["basis"]:
+            raise ValueError("plan file %s: basis type %r has no %r field"
+                             % (args.plan, kind, name))
     plan = _plan_from_config(cfg, seed_override=args.seed)
     for entry in args.alt:
         label, eq, flag = entry.partition("=")

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import as_points, cosine_features, resolve_kernel
+from .kernels import as_points, cosine_features, parse_kernel_id, resolve_kernel
 
 
 class DecompositionError(RuntimeError):
@@ -789,18 +789,61 @@ def _gegenbauer_gauss(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 # reference bases
 
 
-def cosine_basis(K: int) -> SpectralBasis:
-    """Reference basis under Uniform[0,1]: lambda_k = (k pi)^-2, sqrt(2) cos(k pi x)."""
+class CosineBasis(SpectralBasis):
+    """A basis made by :func:`cosine_basis`, which :func:`save_spectrum`
+    writes as its closed form."""
+
+
+def cosine_basis(K: int, kernel_id: str = "cosine-ref") -> CosineBasis:
+    """Reference basis under Uniform[0,1]: lambda_k = (k pi)^-2, sqrt(2) cos(k pi x),
+    the exact eigenpairs of ``cosine-ref`` (``kernel_id``).  Every term has
+    mean 0 under the null, so they are those of the centered kernel too."""
     k = np.arange(1, K + 1, dtype=float)
     lam = 1.0 / (k * math.pi) ** 2
-    return SpectralBasis(
+    return CosineBasis(
         lam, lambda X, m: cosine_features(X[:, 0], m).T,
         null_id="uniform-cube-1",
         degenerate=True,
         decay_exponent=1.0,
         sup_norms=np.full(K, math.sqrt(2.0)),
-        meta={"kernel_id": "cosine-ref"},
+        meta={"kernel_id": kernel_id},
     )
+
+
+# how far from orthonormal, with mean 0, the closed-form eigenfunctions may
+# be on the rule that cosine_decompose checks them on
+_CLOSED_FORM_TOL = 1e-10
+
+
+def cosine_decompose(quad: Quadrature, K: int, kernel_id: str = "cosine-ref") -> CosineBasis:
+    """The top-K eigenpairs of the kernel ``kernel_id``, cosine-ref:T, under
+    uniform-cube-1 in closed form: :func:`cosine_basis`, with no eigenproblem
+    solved.
+
+    ``quad`` is the rule a Nystrom decomposition would work on.  ValueError
+    unless 1 <= K <= its node count and K <= T, and unless the weighted
+    Gram of the K eigenfunctions on it lies within 1e-10 of the identity and
+    their weighted means within 1e-10 of 0; the message reports the
+    deviation.
+    """
+    name, terms = parse_kernel_id(kernel_id)
+    if name != "cosine-ref":
+        raise ValueError("the closed form is cosine-ref's, not %r's" % kernel_id)
+    if K < 1 or K > quad.size:
+        raise ValueError("K must satisfy 1 <= K <= node count")
+    if K > terms:
+        raise ValueError("K = %d exceeds the %d terms of kernel %r" % (K, terms, kernel_id))
+    basis = cosine_basis(K, kernel_id)
+    w = quad.weights
+    phi = basis.features(quad.nodes)
+    gram = (w[:, None] * phi).T @ phi
+    gram[np.diag_indices(K)] -= 1.0
+    deviation = max(np.abs(gram).max(), np.abs(w @ phi).max())
+    if not deviation <= _CLOSED_FORM_TOL:
+        raise ValueError("the closed-form cosine-ref eigenfunctions are off orthonormal, "
+                         "or off mean 0, by %.3g on the %d-node rule (tolerance %g); use "
+                         "more nodes" % (deviation, quad.size, _CLOSED_FORM_TOL))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +885,16 @@ def save_spectrum(basis: SpectralBasis, path) -> None:
             "degenerate": basis.degenerate,
         }
         arrays = [basis.degree_eigenvalues, basis.degrees.astype(float)]
+    elif isinstance(basis, CosineBasis):
+        header = {
+            "basis_type": "cosine",
+            "kernel_id": basis.meta["kernel_id"],
+            "null_id": basis.null_id,
+            "K": basis.truncation,
+        }
+        arrays = [basis.eigenvalues]
     else:
-        raise ValueError("only Nystrom and zonal bases are cacheable")
+        raise ValueError("only Nystrom, zonal and cosine bases are cacheable")
     hjson = json.dumps(header).encode()
     parts = [_MAGIC, struct.pack("<I", len(hjson)), hjson]
     for arr in arrays:
@@ -874,6 +925,8 @@ def load_spectrum(path) -> SpectralBasis:
     Nystrom file whose header has no "center" entry (written before gofkit
     0.3.0 recorded centering) is refused with ValueError: nothing else in
     the file says whether its eigenfunctions belong to the centered kernel.
+    A cosine file loads as :func:`cosine_basis` of its K, and only if its
+    eigenvalues are those of that basis bit for bit.
     """
     import json
 
@@ -918,4 +971,12 @@ def load_spectrum(path) -> SpectralBasis:
             degrees = read_array().astype(int)
             return SphereZonalBasis(lam, degrees, header["d"], null_id=header["null_id"],
                                     meta={"kernel_id": header["kernel_id"]})
+        if header["basis_type"] == "cosine":
+            lam, K = read_array(), header["K"]
+            exact = cosine_basis(K, header["kernel_id"]) \
+                if type(K) is int and K >= 1 and lam.shape == (K,) else None
+            if exact is None or lam.tobytes() != exact.eigenvalues.tobytes():
+                raise ValueError("spectrum file %s: its eigenvalues are not those of "
+                                 "the closed form (k pi)^-2, k = 1..K, of cosine-ref" % path)
+            return exact
     raise ValueError("unknown basis type in spectrum cache")

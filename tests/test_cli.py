@@ -487,8 +487,9 @@ def test_cube_inputs_outside_the_method_exit_1(centered_file, tmp_path, capsys,
 ])
 def test_short_spectrum_has_no_schedule(tmp_path, data_file, capsys,
                                         kind, flags):
+    # a fitted spectrum: the closed-form cosine-ref basis knows s = 1 at any K
     spec = tmp_path / "k4.spec"
-    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null",
+    assert cli.main(["decompose", "--kernel", "gaussian:0.2", "--null",
                      "uniform-cube-1", "--trunc", "4", "--nodes", "128",
                      "--center", "--out", str(spec), "--quiet"]) == 0
     assert cli.main(["test", "--kind", kind, "--spectrum", str(spec),
@@ -1043,3 +1044,137 @@ def test_version_matches_pyproject():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert gofkit.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(replicates=[{}] * len(r["replicates"])),
+    lambda r: r["replicates"].__setitem__(7, 10 ** 400),
+], ids=["object-replicates", "huge-integer-replicate"])
+def test_replicates_that_are_not_floats_exit_1(centered_file, data_file, tmp_path, capsys,
+                                               edit):
+    cal_file = _calibrate(centered_file, tmp_path / "mmd.cal", "mmd")
+    record = json.loads(cal_file.read_text())
+    edit(record)
+    cal_file.write_text(json.dumps(record))
+    assert _test_with(centered_file, data_file, cal_file, "mmd") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: calibration file %s: 'replicates' must hold numbers "
+                            "that fit a float\n" % cal_file)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("basis, field", [
+    ({"type": "tensor-cosine", "K": 16}, "d"),
+    ({"type": "spectrum"}, "path"),
+    ({"type": "sphere", "d": 3}, "profile"),
+    ({"type": "sphere", "profile": "constant"}, "d"),
+])
+def test_a_plan_basis_names_its_missing_field(tmp_path, capsys, basis, field):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**_PLAN, "basis": basis}))
+    assert cli.main(["power", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr() == ("", "error: plan file %s: basis type %r has no %r "
+                                       "field\n" % (plan, basis["type"], field))
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# cosine-ref spectra in closed form
+
+
+@pytest.fixture(scope="module")
+def closed_form_inputs(tmp_path_factory):
+    """A decompose of centered cosine-ref at K = 64 on 512 nodes, and 500
+    points on [0,1] written with every bit."""
+    root = tmp_path_factory.mktemp("closed-form")
+    spec, data = root / "cube.spec", root / "x.csv"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "64", "--nodes", "512", "--center", "--out", str(spec),
+                     "--quiet"]) == 0
+    rng = np.random.default_rng(21)
+    x = np.where(rng.random(500) < 0.2, rng.beta(2.0, 5.0, 500), rng.random(500))
+    np.savetxt(data, x[:, None], delimiter=",", fmt="%.17g")
+    return spec, data
+
+
+@pytest.mark.parametrize("kind, flags, options", [
+    ("mmd", ["--seed", "4"], {"seed": 4}),
+    ("m3d", ["--theta", "0"], {"theta": 0.0}),
+    ("adaptive", ["--calibrate", "theory"], {"calibrate": "theory"}),
+    ("adaptive", ["--calibrate", "mc:100", "--seed", "4"],
+     {"calibrate": "mc", "reps": 100, "seed": 4}),
+], ids=["mmd", "m3d", "adaptive-theory", "adaptive-mc"])
+def test_a_cosine_ref_file_decides_as_cosine_basis(closed_form_inputs, capsys, kind, flags,
+                                                   options):
+    from gofkit.embedding import Sample, run_test
+    from gofkit.spectrum import CosineBasis, cosine_basis
+    spec, data = closed_form_inputs
+    assert type(load_spectrum(spec)) is CosineBasis
+    capsys.readouterr()
+    assert cli.main(["test", "--kind", kind, "--spectrum", str(spec), "--data", str(data),
+                     "--quiet", *flags]) == 0
+    report = run_test(kind, cosine_basis(64), Sample.from_csv(data), 0.05, **options)
+    want = json.dumps(report.to_dict(), sort_keys=True, allow_nan=False)
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cosine_ref_decompose_is_the_same_centered_or_not(closed_form_inputs, tmp_path):
+    plain = tmp_path / "plain.spec"
+    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+                     "--trunc", "64", "--nodes", "512", "--out", str(plain),
+                     "--quiet"]) == 0
+    assert plain.read_bytes() == closed_form_inputs[0].read_bytes()
+
+
+def test_a_flipped_eigenvalue_byte_refuses_the_cosine_file(closed_form_inputs, tmp_path,
+                                                           capsys):
+    data = bytearray(closed_form_inputs[0].read_bytes())
+    data[-3] ^= 0x01  # in the last eigenvalue
+    flipped = tmp_path / "flipped.spec"
+    flipped.write_bytes(bytes(data))
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(flipped),
+                     "--data", str(closed_form_inputs[1])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: spectrum file %s: its eigenvalues are not those of the "
+                            "closed form (k pi)^-2, k = 1..K, of cosine-ref\n" % flipped)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kernel, trunc, nodes, message", [
+    ("cosine-ref:200", "300", "512", "K = 300 exceeds the 200 terms of kernel "
+                                     "'cosine-ref:200'"),
+    ("cosine-ref", "64", "64", "off orthonormal, or off mean 0, by 0.393 on the 64-node rule"),
+    ("cosine-ref", "65", "64", "K must satisfy 1 <= K <= node count"),
+], ids=["trunc-above-terms", "too-few-nodes", "trunc-above-nodes"])
+def test_cosine_ref_decompose_refuses_what_it_cannot_write(tmp_path, capsys, kernel, trunc,
+                                                           nodes, message):
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", kernel, "--null", "uniform-cube-1",
+                     "--trunc", trunc, "--nodes", nodes, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_a_nystrom_cosine_ref_file_still_loads_as_nystrom(closed_form_inputs, tmp_path,
+                                                          capsys):
+    from gofkit.embedding import Sample, run_test
+    from gofkit.kernels import cosine_reference_kernel
+    from gofkit.spectrum import (NystromBasis, gauss_legendre_01, nystrom_decompose,
+                                 save_spectrum)
+    basis = nystrom_decompose(cosine_reference_kernel(), gauss_legendre_01(128), 16,
+                              null_id="uniform-cube-1", kernel_id="cosine-ref", center=True)
+    spec, data = tmp_path / "nystrom.spec", closed_form_inputs[1]
+    save_spectrum(basis, spec)
+    loaded = load_spectrum(spec)
+    assert type(loaded) is NystromBasis
+    assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+    assert loaded.phi_nodes.tobytes() == basis.phi_nodes.tobytes()
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(spec),
+                     "--data", str(data), "--quiet"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = run_test("m3d", basis, Sample.from_csv(data), 0.05, theta=0.0).to_dict()
+    assert got["reject"] == want["reject"]
+    assert got["parameters"] == want["parameters"]
+    for key in ("statistic", "threshold", "p_value"):
+        assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key]), key

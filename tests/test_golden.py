@@ -18,7 +18,9 @@ outputs updates its pin in the same diff and says so in CHANGES.md.
   the chi-square draws of 0.8.0 are bit-identical.  0.9.0 added the keys
   `kind`, `n` and `spectrum` to the calibration file and left its quantile
   as it was; the spectrum digest is checked against the loaded spectrum
-  rather than pinned, since it covers the eigenvalues' last bits.
+  rather than pinned, since it covers the eigenvalues' last bits.  Since
+  0.19.0 `decompose` writes that spectrum in closed form; the pins hold
+  for it unedited, and a Nystrom file of the same spectrum still meets them.
 - `reproduce fig1 --scale desk --seed 1` rows, from `golden/`: written by
   0.8.0; the m3d rows are those of 0.7.0.
 """
@@ -205,6 +207,20 @@ def test_sphere_test_report_matches_its_pin(sphere_inputs, capsys, case):
 @pytest.mark.parametrize("case", sorted(_CUBE_PINS))
 def test_cube_test_report_matches_its_pin(cube_inputs, capsys, case):
     _assert_matches(_report(cube_inputs, capsys, case), _CUBE_PINS[case])
+
+
+@pytest.mark.parametrize("case", sorted(_CUBE_PINS))
+def test_a_nystrom_cube_file_still_matches_the_cube_pins(cube_inputs, tmp_path, capsys,
+                                                         case):
+    # the file `decompose` wrote for this spectrum before it used the closed form
+    from gofkit.kernels import cosine_reference_kernel
+    from gofkit.spectrum import gauss_legendre_01, nystrom_decompose, save_spectrum
+    spec = tmp_path / "nystrom.spec"
+    save_spectrum(nystrom_decompose(cosine_reference_kernel(), gauss_legendre_01(512), 64,
+                                    null_id="uniform-cube-1", kernel_id="cosine-ref",
+                                    center=True), spec)
+    got = _report((spec, cube_inputs[1]), capsys, case)
+    _assert_matches(got, _CUBE_PINS[case])
 
 
 def test_cube_calibration_file_matches_its_pin(cube_inputs, tmp_path):

@@ -868,6 +868,23 @@ def test_cache_roundtrip_derives_the_same_fields(tmp_path, kind):
         assert np.array_equal(loaded.sup_norms, basis.sup_norms)
 
 
+@pytest.mark.parametrize("K, kernel_id", [(1, "cosine-ref"), (64, "cosine-ref"),
+                                          (300, "cosine-ref:300")])
+def test_cache_roundtrip_cosine_is_bit_identical(tmp_path, K, kernel_id):
+    basis = cosine_basis(K, kernel_id)
+    path = tmp_path / "c.spec"
+    save_spectrum(basis, path)
+    loaded = load_spectrum(path)
+    assert type(loaded) is type(basis)
+    for name in ("eigenvalues", "sup_norms"):
+        assert getattr(loaded, name).tobytes() == getattr(basis, name).tobytes()
+    for name in ("null_id", "degenerate", "decay_exponent", "meta", "truncation"):
+        assert getattr(loaded, name) == getattr(basis, name), name
+    assert loaded.decay_exponent == 1.0 and loaded.degenerate
+    X = np.random.default_rng(K).random((50, 1))
+    assert loaded.features(X).tobytes() == basis.features(X).tobytes()
+
+
 def test_save_refuses_a_nystrom_basis_without_a_kernel_id(tmp_path):
     basis = nystrom_decompose(gaussian_kernel(0.3), gauss_legendre_01(64), 8,
                               null_id="uniform-cube-1")

@@ -1,20 +1,16 @@
 """Kernel-embedding goodness-of-fit tests: MMD, moderated MMD and an
 adaptive max-over-grid variant, plus spectral kernel machinery, null
-calibration, alternative samplers and a replication harness."""
+calibration, alternative samplers and a replication harness.
 
+The alternative samplers' names import ``gofkit.dists`` on first use, so
+that a decision loads only the modules it runs.
+"""
 from .calibrate import (
     NullCalibration,
     chisq_mix_quantile,
     empirical_null_quantile,
     normal_calibration,
     normal_quantile,
-)
-from .dists import (
-    AlternativeSpec,
-    density,
-    least_favorable,
-    null_sampler,
-    sample,
 )
 from .embedding import (
     AdaptiveStat,
@@ -45,13 +41,14 @@ from .spectrum import (
     estimate_decay_exponent,
     gauss_legendre_01,
     load_spectrum,
+    null_sampler,
     nystrom_decompose,
     save_spectrum,
     sphere_zonal_spectrum,
     tensor_product_basis,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "AdaptiveStat",
@@ -95,3 +92,13 @@ __all__ = [
     "tensor_product_basis",
     "theory_threshold",
 ]
+
+
+def __getattr__(name):
+    # read from dists on every access and never stored here, so that it is
+    # whatever dists holds now
+    if name in ("AlternativeSpec", "density", "least_favorable", "sample"):
+        from . import dists
+
+        return getattr(dists, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

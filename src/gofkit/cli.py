@@ -6,7 +6,7 @@ import functools
 import json
 import sys
 
-from . import bench, calibrate as cal, dists, kernels
+from . import calibrate as cal, kernels
 from .embedding import Sample, null_calibration, run_test
 from .spectrum import (
     DecompositionError,
@@ -44,8 +44,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="compute and store a kernel spectrum")
     p.add_argument("--kernel", required=True,
-                   help="kernel id (cosine-ref[:terms], gaussian:BW, linear, "
-                        "constant; gaussian-sphere:S2 or constant on spheres)")
+                   help="kernel id (cosine-ref[:terms] or gaussian:BW on the cube; "
+                        "gaussian-sphere:S2 or constant on spheres)")
     p.add_argument("--null", required=True,
                    help="null id: uniform-cube-1 or uniform-sphere-D")
     p.add_argument("--trunc", type=int, required=True,
@@ -138,12 +138,12 @@ def _build_spectrum(args):
         basis.meta["kernel_id"] = args.kernel
         return basis
     if d == 1:
-        kernel = kernels.resolve_kernel(args.kernel)
-        quad = gauss_legendre_01(args.nodes)
         if kernels.parse_kernel_id(args.kernel)[0] == "cosine-ref":
-            return cosine_decompose(quad, args.trunc, args.kernel)  # centered or not
-        return nystrom_decompose(kernel, quad, args.trunc, null_id=null,
-                                 kernel_id=args.kernel, center=args.center)
+            # centered or not
+            return cosine_decompose(gauss_legendre_01(args.nodes), args.trunc, args.kernel)
+        kernel = kernels.resolve_kernel(args.kernel)
+        return nystrom_decompose(kernel, gauss_legendre_01(args.nodes), args.trunc,
+                                 null_id=null, kernel_id=args.kernel, center=args.center)
     raise ValueError("unsupported null id for decompose: %r "
                      "(use uniform-cube-1 or uniform-sphere-D)" % null)
 
@@ -210,26 +210,9 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _plan_from_config(cfg: dict, seed_override=None) -> bench.ExperimentPlan:
-    basis = _basis_from_config(cfg.get("basis", {}))
-    alts = {}
-    for label, alt_cfg in cfg["alternatives"].items():
-        alts[label] = dists.spec_from_config(alt_cfg, basis=basis)
-    calib = cfg.get("calibration", {})
-    seed = seed_override if seed_override is not None else cfg.get("seed")
-    if seed is None:
-        raise ValueError("--seed is required (or a 'seed' field in the plan)")
-    return bench.ExperimentPlan(
-        basis=basis, alternatives=alts,
-        tests=list(cfg["tests"]), n_list=[int(n) for n in cfg["n"]],
-        reps=int(cfg.get("reps", 100)), alpha=float(cfg.get("alpha", 0.05)),
-        seed=int(seed),
-        mmd_calibration_reps=int(calib.get("mmd_reps", cal.CHISQ_REPS)),
-        adaptive_calibration_reps=int(calib.get("adaptive_reps", cal.EMPIRICAL_REPS)),
-        theta=float(calib.get("theta", 0.0)))
+def _run_and_emit(plan, out_dir: str, args) -> int:
+    from . import bench
 
-
-def _run_and_emit(plan: bench.ExperimentPlan, out_dir: str, args) -> int:
     table = bench.run_plan(plan)
     paths = bench.emit(table, out_dir)
     for cell in table.aggregate():
@@ -240,6 +223,8 @@ def _run_and_emit(plan: bench.ExperimentPlan, out_dir: str, args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from . import bench, dists
+
     cfg = _read_json_object(args.plan, "plan")
     for name in ("alternatives", "tests", "n"):
         if name not in cfg:
@@ -253,16 +238,32 @@ def _cmd_power(args) -> int:
         if name not in cfg["basis"]:
             raise ValueError("plan file %s: basis type %r has no %r field"
                              % (args.plan, kind, name))
-    plan = _plan_from_config(cfg, seed_override=args.seed)
+    basis = _basis_from_config(cfg.get("basis", {}))
+    alts = {label: dists.spec_from_config(alt_cfg, basis=basis)
+            for label, alt_cfg in cfg["alternatives"].items()}
+    calib = cfg.get("calibration", {})
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is None:
+        raise ValueError("--seed is required (or a 'seed' field in the plan)")
+    plan = bench.ExperimentPlan(
+        basis=basis, alternatives=alts,
+        tests=list(cfg["tests"]), n_list=[int(n) for n in cfg["n"]],
+        reps=int(cfg.get("reps", 100)), alpha=float(cfg.get("alpha", 0.05)),
+        seed=int(seed),
+        mmd_calibration_reps=int(calib.get("mmd_reps", cal.CHISQ_REPS)),
+        adaptive_calibration_reps=int(calib.get("adaptive_reps", cal.EMPIRICAL_REPS)),
+        theta=float(calib.get("theta", 0.0)))
     for entry in args.alt:
         label, eq, flag = entry.partition("=")
         if not eq:
             raise ValueError("--alt expects LABEL=FAMILY:key=val,...")
-        plan.alternatives[label] = dists.alt_from_flag(flag, basis=plan.basis)
+        plan.alternatives[label] = dists.alt_from_flag(flag, basis=basis)
     return _run_and_emit(plan, args.out, args)
 
 
 def _cmd_reproduce(args) -> int:
+    from . import bench, dists
+
     seed = args.seed
     if seed is None:
         raise ValueError("--seed is required for the reproduction run")

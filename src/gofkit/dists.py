@@ -16,7 +16,8 @@ import numpy as np
 
 from .calibrate import normal_cdf
 from .kernels import as_points
-from .spectrum import SpectralBasis, parse_null_id, sphere_surface_area
+from .spectrum import (SpectralBasis, null_sampler, parse_null_id, sphere_surface_area,
+                       uniform_sphere)
 
 
 @dataclass
@@ -92,23 +93,6 @@ def _mixture_components(spec: AlternativeSpec) -> list:
             family=c["type"], dim=spec.dim,
             params={"mu": c["mu"], "kappa": c["kappa"]})))
     return out
-
-
-# ---------------------------------------------------------------------------
-# null samplers
-
-
-def uniform_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def null_sampler(null_id: str):
-    """Sampler (n, rng) -> points for a named null distribution."""
-    family, d = parse_null_id(null_id)
-    if family == "uniform-cube":
-        return lambda n, rng: rng.random((n, d))
-    return lambda n, rng: uniform_sphere(n, d, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import calibrate as cal
-from . import dists
 from .spectrum import (
     ModeratedSpectrum,
     SampleSummary,
     SpectralBasis,
     moderate,
     moderated_variance,
+    null_sampler,
 )
 
 GRAM_SIZE_LIMIT = 4096
@@ -333,7 +333,7 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
         grid = moderation(kind, basis, n)[1]
         c = cal.empirical_null_quantile(
             lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
-            dists.null_sampler(basis.null_id),
+            null_sampler(basis.null_id),
             n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
     return replace(c, kind=kind, n=key_n, spectrum=spectrum_digest(basis))
 

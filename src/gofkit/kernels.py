@@ -1,10 +1,10 @@
 """Named kernels used by the CLI and the spectrum files.
 
-A kernel id is either a bare name ("cosine-ref", "linear", "constant") or a
-name with parameters separated by colons ("gaussian:0.1").  All kernels are
+A kernel id is either a bare name ("cosine-ref", "constant") or a name with
+parameters separated by colons ("gaussian:0.1").  Kernels on the cube are
 vectorized: ``kernel(X, Y)`` returns the (len(X), len(Y)) matrix, where a
-1-D input is a column of 1-D points.  The finite-rank ones also carry their
-expansion (see :func:`expansion_kernel`).
+1-D input is a column of 1-D points.  Kernels on spheres are zonal profiles
+g(t) of the inner product t = <x, y>.
 """
 from __future__ import annotations
 
@@ -50,30 +50,17 @@ def cosine_features(x, K: int) -> np.ndarray:
     return out
 
 
-def expansion_kernel(features, weights):
-    """K(x,y) = sum_t w_t f_t(x) f_t(y), from ``features(X) -> (terms, len(X))``.
-
-    The kernel carries ``kernel.expansion = (features, weights)``, so code
-    that only needs K(X, Y) @ M for a fixed Y can form f(X)' (w f(Y) M)
-    without the (len(X), len(Y)) matrix.  ``weights`` is a 1-D array over
-    the terms, or of length 1 for equal weights.
-    """
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-
-    def kernel(X, Y):
-        return (features(X) * weights[:, None]).T @ features(Y)
-
-    kernel.expansion = (features, weights)
-    return kernel
-
-
 def cosine_reference_kernel(n_terms: int = 200):
     """K(x,y) = sum_{k<=n_terms} 2 cos(k pi x) cos(k pi y) / (k pi)^2 on [0,1]."""
     if n_terms < 1:
         raise ValueError("cosine-ref needs at least one term, got %d" % n_terms)
-    k = np.arange(1, n_terms + 1, dtype=float)
-    return expansion_kernel(lambda X: cosine_features(as_points(X)[:, 0], n_terms),
-                            1.0 / (k * math.pi) ** 2)
+    weights = 1.0 / (np.arange(1, n_terms + 1) * math.pi) ** 2
+
+    def kernel(X, Y):
+        fx = cosine_features(as_points(X)[:, 0], n_terms)
+        return (fx * weights[:, None]).T @ cosine_features(as_points(Y)[:, 0], n_terms)
+
+    return kernel
 
 
 def gaussian_kernel(bandwidth: float):
@@ -91,11 +78,6 @@ def gaussian_kernel(bandwidth: float):
         return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth ** 2))
 
     return kernel
-
-
-# x'y and 1: one expansion each, the coordinates and a row of ones
-linear_kernel = expansion_kernel(lambda X: as_points(X).T, 1.0)
-constant_kernel = expansion_kernel(lambda X: np.ones((1, as_points(X).shape[0])), 1.0)
 
 
 def gaussian_sphere_profile(sigma2: float):
@@ -118,7 +100,6 @@ _ARGUMENTS = {
     "gaussian": (float, "a positive bandwidth with a finite 2 bw^2", None,
                  _GAUSSIAN_MAX_BANDWIDTH),
     "gaussian-sphere": (float, "a finite positive sigma^2", None, sys.float_info.max),
-    "linear": None,
     "constant": None,
 }
 
@@ -159,14 +140,12 @@ def zonal_profile(kernel_id: str):
 
 
 def resolve_kernel(kernel_id: str):
-    """Look up a pointwise kernel by id; raises ValueError for unknown ids."""
+    """Look up a kernel on the cube by id: "cosine-ref[:T]" or "gaussian:BW";
+    ValueError, naming the id, for any other id."""
     name, arg = parse_kernel_id(kernel_id)
     if name == "cosine-ref":
         return cosine_reference_kernel(arg)
     if name == "gaussian":
         return gaussian_kernel(arg)
-    if name == "linear":
-        return linear_kernel
-    if name == "constant":
-        return constant_kernel
-    raise ValueError("unknown kernel id: %r" % kernel_id)
+    raise ValueError("kernel id %r is a zonal kernel for sphere nulls; cube nulls need "
+                     "cosine-ref[:T] or gaussian:BW" % kernel_id)

@@ -208,12 +208,8 @@ class NystromBasis(SpectralBasis):
     g = sum_i w_i r(x_i); ``kernel`` itself stays uncentered.  The basis is
     degenerate when every eigenfunction has mean 0 under the quadrature.
 
-    The features are K(x, nodes) @ coef, a fixed (nodes x K) matrix.  A
-    kernel with a finite ``expansion`` (see ``kernels.expansion_kernel``)
-    folds its node side into coef once, so a point costs O(terms K) and no
-    kernel call; any other kernel costs O(nodes K) plus one kernel row
-    K(x, nodes) per point.  The centering vector r goes through the same
-    product, so a centered basis on such a kernel is built without one.
+    The features are K(x, nodes) @ coef + offset, for a fixed (nodes x K)
+    matrix coef: O(nodes K) plus one kernel row K(x, nodes) per point.
     """
 
     def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, *,
@@ -223,31 +219,21 @@ class NystromBasis(SpectralBasis):
         self.center = bool(center)
         lam = np.asarray(eigenvalues, dtype=float)
         w = quad.weights
-        # K(X, nodes) @ M = left(X) @ fold(M); a kernel with an expansion has
-        # K(X, nodes) = f(X)' (w f(nodes))
-        expansion = getattr(kernel, "expansion", None)
-        if expansion is None:
-            left, fold = (lambda X: kernel(X, quad.nodes)), (lambda M: M)
-        else:
-            terms, weights = expansion
-            node_side = weights[:, None] * terms(quad.nodes)
-            left, fold = (lambda X: terms(X).T), (lambda M: node_side @ M)
         # phi_k(x) = lam_k^{-1} sum_i w_i K(x, x_i) phi_k(x_i)
         coef = (w[:, None] * self.phi_nodes) / lam
         offset = np.zeros(lam.size)
         if self.center:
             # the centered kernel through the same product:
             # K(x, nodes) (coef - w s') + (g s - r(nodes)' coef), s = sum_i coef_i
-            r = left(quad.nodes) @ fold(w)
+            r = kernel(quad.nodes, quad.nodes) @ w
             s = coef.sum(axis=0)
             offset = float(w @ r) * s - r @ coef
             coef = coef - np.outer(w, s)
-        right = fold(coef)
 
         def feature_fn(X, m):
             # the (m, n) product takes the offset in place, so a block is
             # written once; its transpose is the (n, m) block
-            out = right[:, :m].T @ left(X).T
+            out = coef[:, :m].T @ kernel(X, quad.nodes).T
             out += offset[:m, None]
             return out.T
 
@@ -473,6 +459,19 @@ def parse_null_id(null_id: str) -> tuple[str, int]:
     if family not in ("uniform-cube", "uniform-sphere") or not d.isdigit():
         raise ValueError("unknown null id: %r" % null_id)
     return family, int(d)
+
+
+def uniform_sphere(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((n, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def null_sampler(null_id: str):
+    """Sampler (n, rng) -> points for a named null distribution."""
+    family, d = parse_null_id(null_id)
+    if family == "uniform-cube":
+        return lambda n, rng: rng.random((n, d))
+    return lambda n, rng: uniform_sphere(n, d, rng)
 
 
 def nystrom_decompose(kernel, quad: Quadrature, K: int, *, null_id: str = "",

@@ -82,6 +82,59 @@ def test_import_leaves_scipy_integrate_unloaded(spectrum_file, data_file, tmp_pa
     assert seen == [[]] + [[0, []]] * len(runs)
 
 
+# gofkit.__all__ as of 0.19.0, when every name in it was imported eagerly
+_ALL = """AdaptiveStat AlternativeSpec DecompositionError ModeratedSpectrum NullCalibration
+NystromBasis Quadrature RhoGrid Sample SampleSummary SpectralBasis SphereZonalBasis
+TestReport adaptive_grid adaptive_stat chisq_mix_quantile cosine_basis density
+effective_variance empirical_null_quantile estimate_decay_exponent eta_sq eta_sq_gram
+gauss_legendre_01 least_favorable load_spectrum mmd_vstat normal_calibration
+normal_quantile null_calibration null_sampler nystrom_decompose rho_schedule run_test
+sample save_spectrum sphere_zonal_spectrum studentized_stat tensor_product_basis
+theory_threshold""".split()
+
+
+def test_decisions_load_neither_the_harness_nor_the_alternatives(spectrum_file, data_file,
+                                                                 tmp_path):
+    # a fresh process: decompose, test and calibrate import neither gofkit.bench
+    # nor gofkit.dists, and the package still exports the alternatives' names
+    cube = ["--spectrum", str(spectrum_file), "--data", str(data_file), "--quiet"]
+    runs = [
+        ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1", "--trunc", "16",
+         "--nodes", "64", "--out", str(tmp_path / "c.spec"), "--quiet"],
+        ["decompose", "--kernel", "gaussian:0.2", "--null", "uniform-cube-1", "--trunc", "8",
+         "--nodes", "64", "--center", "--out", str(tmp_path / "g.spec"), "--quiet"],
+        ["decompose", "--kernel", "gaussian-sphere:1.0", "--null", "uniform-sphere-3",
+         "--trunc", "8", "--nodes", "64", "--out", str(tmp_path / "s2.spec"), "--quiet"],
+        ["test", "--kind", "mmd", "--seed", "1", "--calibrate", "mc:500", *cube],
+        ["test", "--kind", "m3d", "--theta", "0", *cube],
+        ["test", "--kind", "adaptive", "--seed", "1", "--calibrate", "mc:100", *cube],
+        ["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(tmp_path / "g.spec"),
+         "--data", str(data_file), "--quiet"],
+        ["calibrate", "--kind", "mmd", "--spectrum", str(spectrum_file), "--n", "200",
+         "--reps", "500", "--seed", "1", "--out", str(tmp_path / "c.cal"), "--quiet"],
+        ["test", "--kind", "mmd", "--calibration", str(tmp_path / "c.cal"), *cube],
+    ]
+    code = ("import json, sys\n"
+            "from gofkit import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in ('gofkit.bench', 'gofkit.dists') if m in sys.modules)\n"
+            "import gofkit\n"
+            "names = [gofkit.sample.__name__, gofkit.AlternativeSpec.__name__]\n"
+            "star = {}\n"
+            "exec('from gofkit import *', star)\n"
+            "print(json.dumps([codes, loaded, names, sorted(set(star) - {'__builtins__'}),\n"
+            "                  gofkit.__all__]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    codes, loaded, names, star, exported = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []
+    assert names == ["sample", "AlternativeSpec"]
+    assert star == exported == _ALL
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "error" in capsys.readouterr().err
@@ -127,7 +180,6 @@ def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, capsys, kernel):
     ("gaussian:inf", "uniform-cube-1"),
     ("gaussian:1e300", "uniform-cube-1"),  # 2 bw^2 overflows
     ("gaussian-sphere:nan", "uniform-sphere-3"),
-    ("linear:3", "uniform-cube-1"),
     ("constant:1", "uniform-cube-1"),
     ("cosine-ref:abc", "uniform-cube-1"),
     ("cosine-ref:2.5", "uniform-cube-1"),
@@ -197,8 +249,19 @@ def test_an_empty_data_file_prints_one_error_line(spectrum_file, tmp_path, text)
     assert done.stderr == "error: sample must contain at least one point\n"
 
 
+@pytest.mark.parametrize("kernel", ["linear", "constant"])
+def test_decompose_refuses_a_cube_kernel_that_has_no_test(tmp_path, capsys, kernel):
+    # centred, linear keeps one eigenpair and constant none, so neither
+    # supports the three tests; constant remains a zonal profile
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", kernel, "--null", "uniform-cube-1",
+                     "--trunc", "1", "--nodes", "64", "--out", str(out)]) == 1
+    assert "%r" % kernel in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rank_deficient_exits_2(tmp_path, capsys):
-    assert cli.main(["decompose", "--kernel", "constant", "--null",
+    assert cli.main(["decompose", "--kernel", "gaussian:1000", "--null",
                      "uniform-cube-1", "--trunc", "4", "--nodes", "64",
                      "--out", str(tmp_path / "x.spec")]) == 2
     assert "numeric floor" in capsys.readouterr().err
@@ -1023,12 +1086,12 @@ def test_a_calibration_file_reads_back_as_its_record(roundtrip_dir, kind, n, alp
 
 
 def test_both_sphere_kernel_readers_share_one_parser(tmp_path, capsys):
-    assert cli.main(["decompose", "--kernel", "linear", "--null", "uniform-sphere-3",
+    assert cli.main(["decompose", "--kernel", "gaussian:0.5", "--null", "uniform-sphere-3",
                      "--trunc", "4", "--nodes", "64", "--out", str(tmp_path / "s.spec")]) == 1
     decompose_err = capsys.readouterr().err
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
-        "basis": {"type": "sphere", "profile": "linear", "d": 3},
+        "basis": {"type": "sphere", "profile": "gaussian:0.5", "d": 3},
         "alternatives": {"null": {"family": "uniform-sphere", "dim": 3}},
         "tests": ["m3d"], "n": [50], "reps": 2, "seed": 1}))
     assert cli.main(["power", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 1

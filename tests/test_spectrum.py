@@ -18,7 +18,6 @@ from gofkit.embedding import statistic
 from gofkit.spectrum import (
     DecompositionError,
     ModeratedSpectrum,
-    NystromBasis,
     Quadrature,
     SpectralBasis,
     SphereZonalBasis,
@@ -40,15 +39,22 @@ from gofkit.spectrum import (
 )
 from gofkit.kernels import (
     as_points,
-    constant_kernel,
     cosine_features,
     cosine_reference_kernel,
     gaussian_kernel,
     gaussian_sphere_profile,
-    linear_kernel,
     resolve_kernel,
     zonal_profile,
 )
+
+
+# x'y and 1 on points read by as_points, as every cube kernel reads them
+def _linear_kernel(X, Y):
+    return as_points(X) @ as_points(Y).T
+
+
+def _constant_kernel(X, Y):
+    return np.ones((as_points(X).shape[0], as_points(Y).shape[0]))
 
 
 def test_quadrature_weights_sum_to_one():
@@ -107,7 +113,7 @@ def test_nystrom_orthonormal_under_quadrature():
 
 def test_nystrom_rank_one_kernel():
     quad = gauss_legendre_01(32)
-    basis = nystrom_decompose(constant_kernel, quad, 1)
+    basis = nystrom_decompose(_constant_kernel, quad, 1)
     assert abs(basis.eigenvalues[0] - 1.0) < 1e-12
     assert np.allclose(basis.features(np.array([[0.3], [0.9]])), 1.0)
 
@@ -115,7 +121,7 @@ def test_nystrom_rank_one_kernel():
 def test_nystrom_rank_deficiency_raises():
     quad = gauss_legendre_01(32)
     with pytest.raises(DecompositionError, match="numeric floor"):
-        nystrom_decompose(constant_kernel, quad, 2)
+        nystrom_decompose(_constant_kernel, quad, 2)
 
 
 def test_nystrom_rejects_asymmetric_kernel():
@@ -185,14 +191,14 @@ def center_kernel(kernel, quad):
 
 def test_center_constant_kernel_is_zero():
     quad = gauss_legendre_01(64)
-    centered = center_kernel(constant_kernel, quad)
+    centered = center_kernel(_constant_kernel, quad)
     vals = centered(quad.nodes[:5], quad.nodes[:5])
     assert np.abs(vals).max() < 1e-12
 
 
 def test_center_linear_kernel():
     quad = gauss_legendre_01(128)
-    centered = center_kernel(linear_kernel, quad)
+    centered = center_kernel(_linear_kernel, quad)
     x = np.array([[0.1], [0.4], [0.9]])
     y = np.array([[0.2], [0.7]])
     expected = (x - 0.5) @ (y - 0.5).T
@@ -894,31 +900,6 @@ def test_save_refuses_a_nystrom_basis_without_a_kernel_id(tmp_path):
     assert not path.exists()
 
 
-def test_centered_expansion_basis_builds_and_loads_without_a_kernel_call(tmp_path,
-                                                                         monkeypatch):
-    calls = []
-    kernel = cosine_reference_kernel()
-
-    @functools.wraps(kernel)
-    def spy(X, Y):
-        calls.append(1)
-        return kernel(X, Y)
-
-    basis = nystrom_decompose(kernel, gauss_legendre_01(512), 64,
-                              null_id="uniform-cube-1", kernel_id="cosine-ref", center=True)
-    built = NystromBasis(basis.eigenvalues, spy, basis.quad, basis.phi_nodes, center=True,
-                         null_id=basis.null_id, kernel_id="cosine-ref")
-    path = tmp_path / "c.spec"
-    save_spectrum(basis, path)
-    monkeypatch.setattr(spectrum, "resolve_kernel", lambda kernel_id: spy)
-    loaded = load_spectrum(path)
-    X = np.random.default_rng(5).random((300, 1))
-    for other in (built, loaded):
-        assert other.degenerate and other.decay_exponent == basis.decay_exponent
-        assert _close_to(other.features(X), basis.features(X))
-    assert calls == []
-
-
 def test_basis_fits_its_own_decay_exponent():
     lam = 1.0 / (np.arange(1, 41) * math.pi) ** 2
     features = lambda X, m: cosine_features(X[:, 0], m).T
@@ -949,7 +930,7 @@ def test_cache_rejects_wrong_magic(tmp_path):
 
 
 @pytest.mark.parametrize("kernel", [cosine_reference_kernel(), gaussian_kernel(0.5),
-                                    linear_kernel, constant_kernel],
+                                    _linear_kernel, _constant_kernel],
                          ids=["kernel0", "kernel1", "linear_kernel", "constant_kernel"])
 def test_kernels_read_1d_input_as_a_column_of_points(kernel):
     x, y = np.array([0.1, 0.2]), np.array([0.3, 0.5, 0.9])
@@ -965,35 +946,25 @@ def test_cosine_reference_kernel_needs_a_term():
             cosine_reference_kernel(n_terms)
 
 
-# named finite-rank kernels in closed form, independent of their expansions
+# the cosine-ref kernels in closed form, one np.cos term at a time
 _CLOSED_FORM = {
     "cosine-ref": lambda X, Y: _np_cos_kernel(200)(X, Y),
     "cosine-ref:1": lambda X, Y: _np_cos_kernel(1)(X, Y),
     "cosine-ref:7": lambda X, Y: _np_cos_kernel(7)(X, Y),
-    "linear": lambda X, Y: as_points(X) @ as_points(Y).T,
-    "constant": lambda X, Y: np.ones((as_points(X).shape[0], as_points(Y).shape[0])),
 }
 
 
 @pytest.mark.parametrize("kernel_id", sorted(_CLOSED_FORM) + ["gaussian:0.3"])
 def test_resolved_kernel_expansions_reproduce_the_kernel(kernel_id):
     kernel = resolve_kernel(kernel_id)
-    expansion = getattr(kernel, "expansion", None)
-    assert (expansion is None) == (kernel_id not in _CLOSED_FORM)
     rng = np.random.default_rng(len(kernel_id))
     X, Y = rng.random((9, 1)), rng.random((300, 1))
     got = kernel(X, Y)
-    if expansion is not None:
-        terms, weights = expansion
-        fx, fy = terms(X), terms(Y)
-        # term by term, as the sum that defines the kernel
-        total = sum(w * np.outer(a, b) for w, a, b in
-                    zip(np.broadcast_to(weights, fx.shape[:1]), fx, fy))
-        assert np.abs(got - total).max() <= 1e-12 * max(np.abs(total).max(), 1.0)
+    if kernel_id in _CLOSED_FORM:
         assert np.abs(got - _CLOSED_FORM[kernel_id](X, Y)).max() <= 1e-12
-    if kernel_id == "linear":
-        X3 = rng.random((4, 3))
-        assert np.allclose(kernel(X3, X3), X3 @ X3.T, rtol=0, atol=1e-15)
+    else:
+        want = np.exp(-(X - Y.T) ** 2 / (2.0 * 0.3 ** 2))
+        assert np.abs(got - want).max() <= 1e-15
 
 
 def test_zonal_profile_ids():
@@ -1001,7 +972,7 @@ def test_zonal_profile_ids():
     assert np.array_equal(zonal_profile("gaussian-sphere:0.5")(t),
                           gaussian_sphere_profile(0.5)(t))
     assert np.array_equal(zonal_profile("constant")(t), np.ones(7))
-    for bad in ("gaussian:0.5", "linear", "cosine-ref"):
+    for bad in ("gaussian:0.5", "cosine-ref"):
         with pytest.raises(ValueError, match="zonal kernel"):
             zonal_profile(bad)
 
@@ -1215,7 +1186,7 @@ def test_summary_memory_does_not_grow_with_n(kind):
         "tensor": (lambda: tensor_product_basis(cosine_basis(32), 5, 256), 5),
         "nystrom": (lambda: nystrom_decompose(gaussian_kernel(0.2), quad, 16,
                                               null_id="uniform-cube-1", center=True), 1),
-        # the spectrum of the decide-cube benchmark: K = 64 on 512 nodes
+        # a cosine-ref file written before its closed form: K = 64 on 512 nodes
         "cosine-ref-nystrom": (lambda: nystrom_decompose(
             cosine_reference_kernel(), gauss_legendre_01(512), 64,
             null_id="uniform-cube-1", center=True), 1),
@@ -1223,71 +1194,6 @@ def test_summary_memory_does_not_grow_with_n(kind):
     basis = basis()
     small, large = _summary_peak(basis, 10 ** 4, d), _summary_peak(basis, 10 ** 5, d)
     assert large <= 1.1 * small, (small, large)
-
-
-# (kernel id, K, center): the centered constant kernel is zero, so it has no
-# basis to compare
-_FACTORED_CASES = [(kid, K, center) for kid, K in
-                   [("cosine-ref:1", 1), ("cosine-ref:7", 5), ("cosine-ref", 16),
-                    ("linear", 1)] for center in (False, True)] + [("constant", 1, False)]
-
-
-def _factored_and_generic(kernel_id, K, center):
-    """A Nystrom basis on ``kernel_id`` and one on the same kernel behind a
-    plain lambda, which hides its expansion."""
-    quad = gauss_legendre_01(64)
-    kernel = resolve_kernel(kernel_id)
-    return tuple(nystrom_decompose(k, quad, K, null_id="uniform-cube-1", center=center)
-                 for k in (kernel, lambda X, Y: kernel(X, Y)))
-
-
-_FACTORED = {case: _factored_and_generic(*case) for case in _FACTORED_CASES}
-
-
-def _close_to(got, want):
-    """Within 1e-10 of the largest entry of ``want``."""
-    return np.abs(got - want).max(initial=0.0) <= 1e-10 * np.abs(want).max(initial=0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_FACTORED_CASES),
-       st.sampled_from([1, _SUMMARY_BLOCK - 1, _SUMMARY_BLOCK, _SUMMARY_BLOCK + 1]),
-       st.integers(0, 16), st.integers(0, 2 ** 32 - 1))
-def test_factored_nystrom_matches_the_kernel_matrix_path(case, n, m, seed):
-    factored, generic = _FACTORED[case]
-    assert hasattr(resolve_kernel(case[0]), "expansion")
-    assert np.array_equal(factored.phi_nodes, generic.phi_nodes)
-    m = min(m, factored.truncation)
-    X = np.random.default_rng(seed).random((n, 1)) ** 2
-    want = generic.features(X)
-    assert _close_to(factored.features(X), want)
-    assert _close_to(factored.head(X, m), want[:, :m])
-    got, ref = factored.summary(X), generic.summary(X)
-    assert got.n == ref.n == n
-    assert _close_to(got.mean_sq, ref.mean_sq)
-    assert _close_to(got.diag_mean, ref.diag_mean)
-
-
-@pytest.mark.parametrize("center", [False, True])
-def test_factored_nystrom_makes_no_kernel_call_after_construction(center):
-    calls = []
-    kernel = cosine_reference_kernel()
-
-    @functools.wraps(kernel)
-    def spy(X, Y):
-        calls.append(1)
-        return kernel(X, Y)
-
-    assert spy.expansion is kernel.expansion
-    basis = nystrom_decompose(spy, gauss_legendre_01(512), 64,
-                              null_id="uniform-cube-1", center=center)
-    assert calls
-    del calls[:]
-    X = np.random.default_rng(3).random((2 * _SUMMARY_BLOCK + 1, 1))
-    basis.features(X)
-    basis.head(X, 10)
-    basis.summary(X)
-    assert calls == []
 
 
 def test_centered_nystrom_features_need_one_kernel_call():

@@ -148,24 +148,24 @@ def _build_spectrum(args):
                      "(use uniform-cube-1 or uniform-sphere-D)" % null)
 
 
-# the fields each basis type of a plan must give
-_PLAN_BASIS_FIELDS = {"cosine": (), "tensor-cosine": ("d",), "spectrum": ("path",),
-                      "sphere": ("profile", "d")}
-
-
-def _basis_from_config(cfg: dict):
+def _basis_from_config(cfg: dict, plan: str):
     kind = cfg.get("type", "cosine")
+
+    def need(name):
+        if name not in cfg:
+            raise ValueError("plan file %s: basis type %r has no %r field" % (plan, kind, name))
+        return cfg[name]
+
     if kind == "cosine":
         return cosine_basis(int(cfg.get("K", 64)))
     if kind == "tensor-cosine":
         factor = cosine_basis(int(cfg.get("factor_K", 32)))
-        return tensor_product_basis(factor, int(cfg["d"]), int(cfg.get("K", 256)))
+        return tensor_product_basis(factor, int(need("d")), int(cfg.get("K", 256)))
     if kind == "spectrum":
-        return load_spectrum(cfg["path"])
+        return load_spectrum(need("path"))
     if kind == "sphere":
-        profile = kernels.zonal_profile(cfg["profile"])
-        return sphere_zonal_spectrum(profile, int(cfg["d"]),
-                                     int(cfg.get("degree_max", 10)))
+        profile = kernels.zonal_profile(need("profile"))
+        return sphere_zonal_spectrum(profile, int(need("d")), int(cfg.get("degree_max", 10)))
     raise ValueError("unknown basis type %r in plan" % kind)
 
 
@@ -233,12 +233,7 @@ def _cmd_power(args) -> int:
         if not isinstance(cfg.get(name, {}), dict):
             raise ValueError("plan file %s: %r must be a JSON object, not %s"
                              % (args.plan, name, type(cfg[name]).__name__))
-    kind = cfg.get("basis", {}).get("type", "cosine")
-    for name in _PLAN_BASIS_FIELDS.get(kind, ()) if isinstance(kind, str) else ():
-        if name not in cfg["basis"]:
-            raise ValueError("plan file %s: basis type %r has no %r field"
-                             % (args.plan, kind, name))
-    basis = _basis_from_config(cfg.get("basis", {}))
+    basis = _basis_from_config(cfg.get("basis", {}), args.plan)
     alts = {label: dists.spec_from_config(alt_cfg, basis=basis)
             for label, alt_cfg in cfg["alternatives"].items()}
     calib = cfg.get("calibration", {})

@@ -161,24 +161,29 @@ def _mapped_mw(name: str) -> _Mapped1D:
 # ---------------------------------------------------------------------------
 # spherical constants
 
+def _log_kummer(a: float, b: float, z: float) -> float:
+    """log M(a, b, z) = log sum_j (a)_j z^j / ((b)_j j!) for 0 < a <= b, z >= 0, summed in
+    logs relative to the largest term (near j = z); 10 sqrt(z) + 50 more leave < e^-50."""
+    if z == 0:
+        return 0.0
+    j = np.arange(int(z + 10.0 * math.sqrt(z)) + 50)
+    steps = np.log((a + j) * z / ((b + j) * (j + 1.0)))  # log t_{j+1} - log t_j
+    log_terms = np.concatenate(([0.0], np.cumsum(steps)))
+    top = int(np.argmax(log_terms))
+    # the top term's log is summed pairwise: a running sum drifts by ~sqrt(z) ulps of z
+    return float(np.sum(steps[:top]) + np.log(np.sum(np.exp(log_terms - log_terms[top]))))
+
+
 def vmf_log_const(d: int, kappa: float) -> float:
-    """log of C(kappa) = kappa^{d/2-1} / ((2 pi)^{d/2} I_{d/2-1}(kappa))."""
-    if kappa == 0:
-        return -math.log(sphere_surface_area(d))
-    nu = d / 2.0 - 1.0
-    from scipy import special  # imported here: ~0.2 s and 19 MB no decision needs
-
-    # ive = I_nu(kappa) * exp(-kappa)
-    log_bessel = math.log(special.ive(nu, kappa)) + kappa
-    return nu * math.log(kappa) - (d / 2.0) * math.log(2.0 * math.pi) - log_bessel
+    """log of C(kappa) = kappa^{d/2-1} / ((2 pi)^{d/2} I_{d/2-1}(kappa)), by DLMF 10.39.5:
+    I_nu(k) = (k/2)^nu e^-k M(nu + 1/2, 2 nu + 1, 2 k) / Gamma(nu + 1)."""
+    return kappa - math.log(sphere_surface_area(d)) - _log_kummer((d - 1) / 2.0, d - 1.0,
+                                                                   2.0 * kappa)
 
 
-def watson_const(d: int, kappa: float) -> float:
-    """C_W(kappa) = Gamma(d/2) / (2 pi^{d/2} M(1/2, d/2, kappa))."""
-    from scipy import special
-
-    m = float(special.hyp1f1(0.5, d / 2.0, kappa))
-    return math.gamma(d / 2.0) / (2.0 * math.pi ** (d / 2.0) * m)
+def watson_log_const(d: int, kappa: float) -> float:
+    """log of C_W(kappa) = Gamma(d/2) / (2 pi^{d/2} M(1/2, d/2, kappa))."""
+    return -math.log(sphere_surface_area(d)) - _log_kummer(0.5, d / 2.0, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ def density(spec: AlternativeSpec, x) -> np.ndarray:
         return np.exp(vmf_log_const(d, p["kappa"]) + p["kappa"] * (x @ mu))
     if fam == "watson":
         mu = np.asarray(p["mu"], float)
-        return watson_const(d, p["kappa"]) * np.exp(p["kappa"] * (x @ mu) ** 2)
+        return np.exp(watson_log_const(d, p["kappa"]) + p["kappa"] * (x @ mu) ** 2)
     if fam == "sphere-mixture":
         out = np.zeros(x.shape[0])
         for weight, sub in _mixture_components(spec):

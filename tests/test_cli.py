@@ -48,8 +48,8 @@ def test_help_all_subcommands(capsys):
 
 def test_import_leaves_scipy_integrate_unloaded(spectrum_file, data_file, tmp_path):
     # scipy.integrate alone loads some 300 modules and 25 MB into every run,
-    # scipy.special 0.27 s of CPU and 25 MB; no command needs either, and only
-    # the vMF and Watson densities import scipy
+    # scipy.special 0.27 s of CPU and 25 MB; gofkit imports neither, and scipy
+    # serves only as the tests' reference
     sphere_spec, sphere_data = tmp_path / "s2.spec", tmp_path / "s2.csv"
     x = np.random.default_rng(0).standard_normal((200, 3))
     np.savetxt(sphere_data, x / np.linalg.norm(x, axis=1, keepdims=True), delimiter=",")

@@ -1,5 +1,9 @@
 """Tests for null/alternative samplers and densities."""
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +22,10 @@ from gofkit.dists import (
     sample_watson,
     spec_from_config,
     uniform_sphere,
-    watson_const,
+    vmf_log_const,
+    watson_log_const,
 )
-from gofkit.spectrum import cosine_basis, sphere_surface_area
+from gofkit.spectrum import cosine_basis, gauss_legendre_01, sphere_surface_area
 
 
 def _chi2_quadrature(spec: AlternativeSpec, nodes: int = 256) -> float:
@@ -188,7 +193,7 @@ def test_watson_antipodal_sampling():
     assert abs(t.mean()) < 4.0 / math.sqrt(20000)
     # second moment against 1-D quadrature of the density in t
     u = np.linspace(-1, 1, 20001)
-    w = watson_const(3, 2.0) * np.exp(2.0 * u ** 2) * 2 * math.pi
+    w = math.exp(watson_log_const(3, 2.0)) * np.exp(2.0 * u ** 2) * 2 * math.pi
     expected = np.trapezoid(w * u ** 2, u)
     assert abs(np.mean(t ** 2) - expected) < 0.01
 
@@ -239,6 +244,56 @@ def test_watson_normalization_integral():
         x = uniform_sphere(400000, 3, np.random.default_rng(3))
         integral = sphere_surface_area(3) * density(spec, x).mean()
         assert integral == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 10, 20, 50, 100])
+def test_spherical_constants_match_scipy(d):
+    # scipy is the tests' reference only: the package sums Kummer's series itself
+    for kappa in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 500.0):
+        log_area = math.log(sphere_surface_area(d))
+        if kappa == 0.0:
+            vmf = -log_area
+        else:  # ive(nu, k) = I_nu(k) e^-k
+            nu = d / 2.0 - 1.0
+            vmf = (nu * math.log(kappa) - d / 2.0 * math.log(2.0 * math.pi)
+                   - math.log(special.ive(nu, kappa)) - kappa)
+        watson = -log_area - math.log(special.hyp1f1(0.5, d / 2.0, kappa))
+        assert abs(math.expm1(vmf_log_const(d, kappa) - vmf)) < 2e-12, kappa
+        assert abs(math.expm1(watson_log_const(d, kappa) - watson)) < 2e-12, kappa
+
+
+@pytest.mark.parametrize("family", ["watson", "vmf"])
+def test_concentrated_densities_integrate_to_one(family):
+    # at kappa = 800, M(1/2, 3/2, kappa) overflows a float; the density is
+    # integrated over t = x . mu on S^2, where d sigma = 2 pi dt
+    rule = gauss_legendre_01(4000)
+    t, w = 2.0 * rule.nodes - 1.0, 2.0 * rule.weights
+    x = np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t])
+    spec = AlternativeSpec(family, 3, {"mu": [0.0, 0.0, 1.0], "kappa": 800.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integral = 2.0 * math.pi * float(w @ density(spec, x))
+    assert abs(integral - 1.0) < 1e-9
+
+
+def test_densities_need_no_scipy():
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from gofkit import bench, dists\n"
+            "for d in (3, 5):\n"
+            "    mu = [0.0] * (d - 1) + [1.0]\n"
+            "    x = dists.uniform_sphere(10, d, np.random.default_rng(0))\n"
+            "    parts = [{'type': t, 'weight': 0.5, 'mu': mu, 'kappa': 4.0}\n"
+            "             for t in ('vmf', 'watson')]\n"
+            "    for family, params in (('vmf', {'mu': mu, 'kappa': 4.0}),\n"
+            "                           ('watson', {'mu': mu, 'kappa': 4.0}),\n"
+            "                           ('sphere-mixture', {'components': parts})):\n"
+            "        f = dists.density(dists.AlternativeSpec(family, d, params), x)\n"
+            "        assert np.all(np.isfinite(f) & (f > 0)), family\n")
+    src = os.path.dirname(os.path.dirname(dists.__file__))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)
 
 
 def test_marron_wand_densities_integrate_to_one():

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import dists
-from .embedding import moderation, null_calibration, null_key, rho_schedule, statistic
+from .embedding import null_calibration, null_key, rho_schedule, rule
 from .spectrum import SpectralBasis
 
 CSV_HEADER = ["test", "n", "dim", "alternative", "replicate", "reject",
@@ -123,25 +123,24 @@ def run_plan(plan: ExperimentPlan) -> PowerTable:
     calibrations = {}
     rows = [[] for _ in plan.tests]
     for n_idx, n in enumerate(plan.n_list):
-        tests = []  # (kind, rho, grid, threshold) per test at this n
+        tests = []  # (kind, rule, threshold) per test at this n
         for kind in plan.tests:
-            rho, grid = moderation(kind, basis, n,
-                                   theta=plan.theta if kind == "m3d" else None)
+            r = rule(kind, basis, n, theta=plan.theta if kind == "m3d" else None)
             thr = _calibration(calibrations, plan.seed, kind, basis, n, plan.alpha,
                                reps.get(kind)).quantile
-            tests.append((kind, rho, grid, thr))
+            tests.append((kind, r, thr))
         for a_idx, label in enumerate(alt_labels):
             spec = plan.alternatives[label]
             for rep in range(plan.reps):
                 ss = _replicate_seed(plan.seed, 2, 0, n_idx, a_idx, rep)
                 rep_seed = int(ss.generate_state(1)[0])
                 summary = basis.summary(dists.sample(spec, n, seed=ss))
-                for out, (kind, rho, grid, thr) in zip(rows, tests):
-                    stat = statistic(kind, basis, summary, rho=rho, grid=grid)
+                for out, (kind, r, thr) in zip(rows, tests):
+                    stat = r.statistic(summary)
                     out.append(PowerRow(
                         test=kind, n=n, dim=spec.dim, alternative=label,
                         replicate=rep, reject=bool(stat > thr),
-                        statistic=float(stat), threshold=float(thr),
+                        statistic=stat, threshold=float(thr),
                         seed=rep_seed))
     return PowerTable([row for out in rows for row in out])
 
@@ -170,7 +169,7 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
         thr = _calibration(calibrations, seed, kind, basis, n, alpha,
                            mmd_calibration_reps if kind == "mmd" else None).quantile
         dgrid = deltas(n) if callable(deltas) else deltas
-        rho = rho_schedule(n, s, theta) if kind == "m3d" else None
+        r = rule(kind, basis, n, rho=rho_schedule(n, s, theta) if kind == "m3d" else None)
         for d_idx, delta in enumerate(dgrid):
             rejects = 0
             for rep in range(reps):
@@ -182,7 +181,7 @@ def boundary_probe(basis: SpectralBasis, kind: str, s: float, theta: float,
                     alt = dists.least_favorable(basis, n, s, theta, delta,
                                                 seed=ss, mode=alt_mode)
                     x = dists.sample(alt, n, seed=ss.spawn(1)[0])
-                rejects += statistic(kind, basis, basis.summary(x), rho=rho) > thr
+                rejects += r.statistic(basis.summary(x)) > thr
             rows.append({"n": n, "delta": float(delta), "power": rejects / reps})
     return rows
 

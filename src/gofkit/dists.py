@@ -54,6 +54,9 @@ def _validate_spec(spec: "AlternativeSpec") -> None:
         _mw_components(fam.split(":", 1)[1])
         return
     if fam in ("vmf", "watson"):
+        if spec.dim < 2:
+            raise ValueError("%s lives on the sphere S^{d-1} and needs dimension d >= 2, "
+                             "got dimension %d" % (fam, spec.dim))
         mu = np.asarray(p["mu"], float)
         if abs(np.linalg.norm(mu) - 1.0) > 1e-8:
             raise ValueError("mu must be a unit vector")
@@ -288,9 +291,15 @@ def _tangent_normal(mu, t, n, rng):
     """Combine radial coordinates t with uniform tangential directions."""
     d = mu.size
     g = rng.standard_normal((n, d))
-    g -= np.outer(g @ mu, mu)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    v = g / norms
+    if d == 2:
+        # one tangent line: take its direction exactly, with the sign of g's
+        # component along it, since projecting a g close to +-mu leaves mostly
+        # round-off, and the point then misses the circle by up to ~1e-11
+        perp = np.array([-mu[1], mu[0]])
+        v = np.where(g @ perp >= 0.0, 1.0, -1.0)[:, None] * perp
+    else:
+        g -= np.outer(g @ mu, mu)
+        v = g / np.linalg.norm(g, axis=1, keepdims=True)
     return t[:, None] * mu[None, :] + np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None] * v
 
 
@@ -308,13 +317,19 @@ def sample_watson(mu: np.ndarray, kappa: float, n: int,
     elif expo > 0:
         log_env = 0.0  # maximum at t = 0 when kappa small
     else:
-        log_env = kappa  # expo == 0 (d == 3): max at t = +-1
+        log_env = kappa  # exp(kappa t^2) alone, at its maximum t = +-1
 
     def propose(left):
         m = max(2 * left, 16)
-        t = rng.uniform(-1.0, 1.0, size=m)
-        with np.errstate(divide="ignore"):
-            logh = kappa * t * t + expo * np.log1p(-t * t)
+        if d == 2:
+            # h is unbounded at t = +-1; t = cos(theta), theta uniform, has
+            # density proportional to (1-t^2)^{-1/2}, which leaves exp(kappa t^2)
+            t = np.cos(rng.uniform(0.0, math.pi, size=m))
+            logh = kappa * t * t
+        else:
+            t = rng.uniform(-1.0, 1.0, size=m)
+            with np.errstate(divide="ignore"):
+                logh = kappa * t * t + expo * np.log1p(-t * t)
         u = rng.random(m)
         return t[np.log(u) + log_env <= logh]
 

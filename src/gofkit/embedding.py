@@ -133,16 +133,53 @@ class AdaptiveStat(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# statistics: each public function summarises its sample and applies a
-# summary formula below; m3d and adaptive share one, vectorised over rho
+# statistics: each test is a TestRule applied to one SampleSummary
+
+
+@dataclass(frozen=True, eq=False)
+class TestRule:
+    """A test's rows as functions of a summary: n MMD^2 if ``rhos`` is None, else
+    (n eta^2 - diag term) / sqrt(2 v) at each rho of ``rhos``, with v(rho) over
+    every eigenvalue of the basis, not the summary's groups, computed once here."""
+    __test__ = False  # keep pytest from collecting this as a test class
+
+    basis: SpectralBasis
+    rhos: Optional[np.ndarray] = None
+    scales: Optional[np.ndarray] = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.rhos is None:
+            return _check_centered("mmd", self.basis)
+        rhos = np.asarray(self.rhos, dtype=float)
+        if not np.all((rhos >= 0) & np.isfinite(rhos)):  # NaN fails too
+            raise ValueError("rho must be finite and nonnegative")
+        v = moderated_variance(self.basis.eigenvalues, rhos)
+        if np.any(v <= 0):
+            raise ValueError("effective variance must be positive")
+        object.__setattr__(self, "rhos", rhos)
+        object.__setattr__(self, "scales", np.sqrt(2.0 * v))
+
+    def rows(self, s: SampleSummary) -> np.ndarray:
+        if self.rhos is None:
+            return np.array([s.n * float(np.sum(s.group_eigenvalues * s.mean_sq))])
+        w = moderate(s.group_eigenvalues, self.rhos[:, None])
+        return (s.n * (w * s.mean_sq).sum(axis=1) - (w * s.diag_mean).sum(axis=1)) / self.scales
+
+    def best(self, s: SampleSummary) -> tuple:
+        """(maximum row, index of its first row).  A tie goes to the lowest
+        row: the first within _ARGMAX_RTOL of the maximum, so that round-off
+        along a flat stretch of the grid does not move the reported argmax."""
+        t = self.rows(s)
+        value = t.max()
+        return float(value), int(np.argmax(t >= value - _ARGMAX_RTOL * abs(value)))
+
+    def statistic(self, s: SampleSummary) -> float:
+        return self.best(s)[0]
 
 
 def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:
     """Empirical squared MMD, sum_k lambda_k (mean_i phi_k(X_i))^2."""
-    return _mmd_from_summary(basis, basis.summary(sample.points))
-
-
-def _mmd_from_summary(basis: SpectralBasis, s: SampleSummary) -> float:
+    s = basis.summary(sample.points)
     _check_centered("mmd", basis)
     return float(np.sum(s.group_eigenvalues * s.mean_sq))
 
@@ -165,22 +202,7 @@ def eta_sq_gram(ms: ModeratedSpectrum, sample: Sample,
 
 def studentized_stat(ms: ModeratedSpectrum, sample: Sample) -> float:
     """(2 v)^{-1/2} (n eta^2 - diag term); asymptotically N(0,1) under the null."""
-    return float(_studentized(ms.basis, ms.basis.summary(sample.points), [ms.rho])[0])
-
-
-def _studentized(basis: SpectralBasis, s: SampleSummary, rhos) -> np.ndarray:
-    """The studentized statistic at every rho of ``rhos``, in one pass: row r
-    of each (rho, eigenvalue) array below belongs to ``rhos[r]``.  v(rho)
-    runs over every eigenvalue of the basis, not over the summary's groups."""
-    rhos = np.asarray(rhos, dtype=float)
-    if not np.all((rhos >= 0) & np.isfinite(rhos)):  # NaN fails too
-        raise ValueError("rho must be finite and nonnegative")
-    v = moderated_variance(basis.eigenvalues, rhos)
-    if np.any(v <= 0):
-        raise ValueError("effective variance must be positive")
-    w = moderate(s.group_eigenvalues, rhos[:, None])
-    num = s.n * (w * s.mean_sq).sum(axis=1) - (w * s.diag_mean).sum(axis=1)
-    return num / np.sqrt(2.0 * v)
+    return TestRule(ms.basis, [ms.rho]).statistic(ms.basis.summary(sample.points))
 
 
 def _check_decay(s: float) -> None:
@@ -222,17 +244,8 @@ def theory_threshold(n: int) -> float:
 
 def adaptive_stat(basis: SpectralBasis, grid: RhoGrid, sample: Sample) -> AdaptiveStat:
     """Maximum of the studentized statistic over the moderation grid."""
-    return _adaptive(basis, grid, basis.summary(sample.points))
-
-
-def _adaptive(basis: SpectralBasis, grid: RhoGrid, s: SampleSummary) -> AdaptiveStat:
-    # a tie goes to the lowest rho: the first grid value whose statistic is
-    # within _ARGMAX_RTOL of the maximum, so that round-off along a flat
-    # stretch of the grid does not move the reported argmax
-    t = _studentized(basis, s, grid.values)
-    value = t.max()
-    i = int(np.argmax(t >= value - _ARGMAX_RTOL * abs(value)))
-    return AdaptiveStat(value=float(value), argmax_rho=float(grid.values[i]))
+    value, i = TestRule(basis, grid.values).best(basis.summary(sample.points))
+    return AdaptiveStat(value=value, argmax_rho=float(grid.values[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +254,23 @@ def _adaptive(basis: SpectralBasis, grid: RhoGrid, s: SampleSummary) -> Adaptive
 # reaches every caller.
 
 
-def statistic(kind: str, basis: SpectralBasis, summary: SampleSummary, *,
-              rho: Optional[float] = None, grid: Optional[RhoGrid] = None) -> float:
-    """n MMD^2 (mmd), the studentized moderated MMD at ``rho`` (m3d) or its
-    maximum over ``grid`` (adaptive), all read from one ``basis.summary``."""
-    if kind == "mmd":
-        return summary.n * _mmd_from_summary(basis, summary)
-    if kind == "m3d":
-        return float(_studentized(basis, summary, [rho])[0])
-    if kind == "adaptive":
-        return _adaptive(basis, grid, summary).value
-    raise ValueError("unknown test kind: %r" % kind)
+def rule(kind: str, basis: SpectralBasis, n: int, *, rho: Optional[float] = None,
+         theta: Optional[float] = None) -> TestRule:
+    """The :class:`TestRule` of test ``kind`` at sample size ``n``: m3d's one row
+    is at ``rho`` or :func:`rho_schedule` at ``theta``, adaptive's :func:`adaptive_grid`."""
+    if kind not in ("mmd", "m3d", "adaptive"):
+        raise ValueError("unknown test kind: %r" % kind)
+    s = basis.decay_exponent
+    if kind != "m3d":
+        if rho is not None or theta is not None:
+            raise ValueError("%s takes no rho or theta; they set the moderation of m3d"
+                             % kind)
+        return TestRule(basis, adaptive_grid(n, s).values if kind == "adaptive" else None)
+    if rho is not None and theta is not None:
+        raise ValueError("m3d takes rho or theta, not both")
+    if rho is None and theta is None:
+        raise ValueError("m3d requires rho (or theta for the schedule)")
+    return TestRule(basis, [rho if theta is None else rho_schedule(n, s, theta)])
 
 
 def null_key(kind: str, n: Optional[int]) -> tuple:
@@ -268,22 +287,6 @@ def spectrum_digest(basis: SpectralBasis) -> str:
     """sha256 of the basis's eigenvalues as little-endian float64."""
     lam = np.ascontiguousarray(basis.eigenvalues, dtype="<f8")
     return hashlib.sha256(lam.tobytes()).hexdigest()
-
-
-def moderation(kind: str, basis: SpectralBasis, n: int, *, rho: Optional[float] = None,
-               theta: Optional[float] = None) -> tuple:
-    """(rho, grid) of test ``kind`` at sample size ``n``: m3d takes ``rho`` or
-    :func:`rho_schedule` at ``theta``, adaptive :func:`adaptive_grid`."""
-    if kind != "m3d":
-        if rho is not None or theta is not None:
-            raise ValueError("%s takes no rho or theta; they set the moderation of m3d"
-                             % kind)
-        return None, adaptive_grid(n, basis.decay_exponent) if kind == "adaptive" else None
-    if rho is not None and theta is not None:
-        raise ValueError("m3d takes rho or theta, not both")
-    if rho is None and theta is None:
-        raise ValueError("m3d requires rho (or theta for the schedule)")
-    return rho if theta is None else rho_schedule(n, basis.decay_exponent, theta), None
 
 
 def _check_centered(kind: str, basis: SpectralBasis) -> None:
@@ -330,9 +333,9 @@ def null_calibration(kind: str, basis: SpectralBasis, n: Optional[int], alpha: f
             basis.eigenvalues, alpha,
             reps=cal.CHISQ_REPS if reps is None else reps, seed=seed)
     else:
-        grid = moderation(kind, basis, n)[1]
+        r = rule(kind, basis, n)
         c = cal.empirical_null_quantile(
-            lambda x: statistic("adaptive", basis, basis.summary(x), grid=grid),
+            lambda x: r.statistic(basis.summary(x)),
             null_sampler(basis.null_id),
             n, alpha, reps=cal.EMPIRICAL_REPS if reps is None else reps, seed=seed)
     return replace(c, kind=kind, n=key_n, spectrum=spectrum_digest(basis))
@@ -349,7 +352,7 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
              seed: Optional[int] = None) -> TestReport:
     """Run one goodness-of-fit test and assemble its report.
 
-    ``rho`` and ``theta`` go to :func:`moderation`.  ``calibration`` is a
+    ``rho`` and ``theta`` go to :func:`rule`.  ``calibration`` is a
     :func:`null_calibration` made for this kind, n, alpha and spectrum
     (ValueError otherwise) or the path of its file; without one, ``calibrate``,
     ``reps`` and ``seed`` go to ``null_calibration``.  Either is read or called
@@ -359,7 +362,7 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
         raise ValueError("alpha must lie in (0, 1)")
     _check_centered(kind, basis)
     n = sample.n
-    rho, grid = moderation(kind, basis, n, rho=rho, theta=theta)
+    r = rule(kind, basis, n, rho=rho, theta=theta)
     if calibration is None:
         calibration = null_calibration(kind, basis, n, alpha, calibrate=calibrate,
                                        reps=reps, seed=seed)
@@ -374,21 +377,17 @@ def run_test(kind: str, basis: SpectralBasis, sample: Sample, alpha: float, *,
             for k, v in want.items() if getattr(calibration, k) != v]
     if diff:
         raise ValueError("the calibration was made for another test: " + "; ".join(diff))
+    stat, i = r.best(basis.summary(sample.points))
     params: dict = {"K": basis.truncation, "alpha": alpha}
-    if rho is not None:
-        params["rho"] = rho
-    summary = basis.summary(sample.points)
-    if kind == "adaptive":
-        best = _adaptive(basis, grid, summary)
-        stat = best.value
-        params.update(rho_star=grid.rho_star, m_star=grid.m_star,
-                      argmax_rho=best.argmax_rho, theory_threshold=theory_threshold(n))
-    else:
-        stat = statistic(kind, basis, summary, rho=rho)
+    if kind == "m3d":
+        params["rho"] = float(r.rhos[0])
+    elif kind == "adaptive":
+        params.update(rho_star=float(r.rhos[0]), m_star=r.rhos.size - 1,
+                      argmax_rho=float(r.rhos[i]), theory_threshold=theory_threshold(n))
     thr = calibration.quantile
     return TestReport(
         kind=kind,
-        statistic=float(stat),
+        statistic=stat,
         threshold=float(thr),
         reject=bool(stat > thr),
         p_value=calibration.p_value(stat),

@@ -12,6 +12,7 @@ from gofkit.calibrate import (
     normal_calibration,
     normal_quantile,
 )
+from gofkit.embedding import TestReport
 from gofkit.kernels import zonal_profile
 from gofkit.spectrum import cosine_basis, sphere_zonal_spectrum, tensor_product_basis
 
@@ -229,6 +230,19 @@ def test_p_value_consistent_with_threshold():
     for stat in np.linspace(0.0, 6.0, 61):
         p = c.p_value(float(stat))
         assert (p <= 0.05) == (stat > c.quantile)
+
+
+def test_p_value_counts_a_tied_replicate():
+    # the p-value is the fraction of replicates at or above the statistic, so
+    # a statistic equal to the stored quantile is not rejected and its
+    # p-value stays above alpha
+    c = NullCalibration(method="empirical-mc", alpha=0.05, quantile=94.0, reps=100,
+                        seed=0, replicates=np.arange(100.0))
+    assert c.p_value(95.0) == 0.05
+    report = TestReport(kind="adaptive", statistic=c.quantile, threshold=c.quantile,
+                        reject=False, p_value=c.p_value(c.quantile), alpha=0.05,
+                        calibration=c, parameters={})
+    assert report.p_value == 0.06
 
 
 def test_normal_calibration_p_value():

@@ -267,6 +267,19 @@ def test_decompose_rank_deficient_exits_2(tmp_path, capsys):
     assert "numeric floor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes, status", [("20", 2), ("24", 0)])
+def test_decompose_zonal_convergence_bound(tmp_path, capsys, nodes, status):
+    # a narrow S^2 profile on a coarse rule: at 20 nodes the eigenvalues move
+    # by 1.7e-8 of the largest when the rule is doubled, at 24 by 7.4e-13,
+    # either side of the 1e-10 bound
+    out = tmp_path / "x.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian-sphere:0.1", "--null",
+                     "uniform-sphere-3", "--trunc", "12", "--nodes", nodes,
+                     "--out", str(out), "--quiet"]) == status
+    assert ("non-convergence" in capsys.readouterr().err) == (status == 2)
+    assert out.exists() == (status == 0)
+
+
 def test_test_happy_path_m3d(spectrum_file, data_file, capsys):
     status = cli.main(["test", "--kind", "m3d", "--spectrum",
                        str(spectrum_file), "--data", str(data_file),

@@ -11,12 +11,13 @@ from gofkit.bench import ExperimentPlan, boundary_probe, run_plan
 from gofkit.dists import AlternativeSpec
 from gofkit.embedding import (
     Sample,
+    TestRule,
     adaptive_grid,
     adaptive_stat,
     null_calibration,
     rho_schedule,
+    rule,
     run_test,
-    statistic,
 )
 from gofkit.spectrum import cosine_basis, load_spectrum
 
@@ -121,7 +122,7 @@ def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, 
     basis = cosine_basis(16)
     sample = Sample(np.full(20, 0.5))
     with pytest.raises(ValueError, match="kind"):
-        statistic("ks", basis, basis.summary(sample.points))
+        rule("ks", basis, sample.n)
     with pytest.raises(ValueError, match="kind"):
         null_calibration("ks", basis, 20, ALPHA, seed=1)
     for kind in ("mmd", "m3d"):
@@ -139,6 +140,14 @@ def test_statistic_and_calibration_reject_bad_requests(centered_spec, tmp_path, 
         assert cli.main(["test", "--kind", "adaptive", "--spectrum", str(centered_spec),
                          "--data", str(data), "--seed", "1", "--calibrate", typo]) == 1
         assert err in capsys.readouterr().err
+
+
+def test_null_calibration_refuses_alpha_one_before_drawing_a_null(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cal, "empirical_null_quantile", lambda *a, **kw: drawn.append(a))
+    with pytest.raises(ValueError, match="alpha"):
+        null_calibration("adaptive", cosine_basis(16), N, 1.0, seed=1)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("kind, n", [("mmd", 0), ("m3d", 0), ("adaptive", -5)])
@@ -196,8 +205,9 @@ def test_run_plan_rows_read_the_replicate_summary():
         ss = np.random.SeedSequence(MASTER, spawn_key=key)
         assert r.seed == int(ss.generate_state(1)[0])
         summary = basis.summary(dists.sample(ALTS[r.alternative], r.n, seed=ss))
-        want = statistic(r.test, basis, summary, rho=rho_schedule(r.n, s, 0.0),
-                         grid=adaptive_grid(r.n, s))
+        rhos = {"mmd": None, "m3d": [rho_schedule(r.n, s, 0.0)],
+                "adaptive": adaptive_grid(r.n, s).values}[r.test]
+        want = TestRule(basis, rhos).statistic(summary)
         assert r.statistic == want
 
 

@@ -117,7 +117,7 @@ def test_vmf_sampler_mean_resultant(d, kappa, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("d, kappa", [(5, 0.5), (3, 2.0), (6, 4.0)])
+@pytest.mark.parametrize("d, kappa", [(5, 0.5), (3, 2.0), (6, 4.0), (2, 2.0)])
 def test_watson_sampler_second_moment(d, kappa, seed):
     # E<x, mu>^2 = (1/d) M(3/2, d/2+1, kappa) / M(1/2, d/2, kappa); (5, 0.5) takes
     # the envelope for small kappa, (3, 2) the one for d = 3
@@ -150,6 +150,17 @@ def test_sphere_mixture_draws_each_component_from_one_stream():
     rng = np.random.default_rng(4)
     rng.choice(1, size=50, p=[1.0])
     assert np.array_equal(sample(spec, 50, seed=4), sample_watson(mu, kappa, 50, rng))
+
+
+@pytest.mark.parametrize("family", ["vmf", "watson", "sphere-mixture"])
+def test_sphere_families_refuse_dimension_one(family):
+    # S^0 is two points: the radial samplers would take a log or a root of
+    # 1 - t^2 = 0 there, and the densities' constants are undefined
+    params = {"mu": [1.0], "kappa": 2.0}
+    if family == "sphere-mixture":
+        params = {"components": [dict(params, type="vmf", weight=1.0)]}
+    with pytest.raises(ValueError, match="needs dimension d >= 2, got dimension 1"):
+        AlternativeSpec(family, 1, params)
 
 
 def test_vmf_kappa_zero_is_uniform():

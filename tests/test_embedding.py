@@ -16,6 +16,7 @@ from gofkit.embedding import (
     RhoGrid,
     Sample,
     TestReport,
+    TestRule,
     adaptive_grid,
     adaptive_stat,
     eta_sq,
@@ -24,7 +25,6 @@ from gofkit.embedding import (
     null_calibration,
     rho_schedule,
     run_test,
-    statistic,
     studentized_stat,
     theory_threshold,
 )
@@ -232,7 +232,7 @@ def test_studentized_memory_follows_the_degree_blocks_not_k():
     summary, grid = basis.summary(x), adaptive_grid(n, basis.decay_exponent)
     tracemalloc.start()
     try:
-        embedding._studentized(basis, summary, grid.values)
+        TestRule(basis, grid.values).rows(summary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,26 +401,26 @@ def test_adaptive_is_the_first_maximiser_of_per_rho_studentized(name, n, seed, r
     for r, t in zip(grid.values, per_rho):
         assert t == pytest.approx(_studentized_reference(basis, float(r), sample),
                                   rel=1e-9, abs=1e-9)
-    assert statistic("adaptive", basis, basis.summary(x), grid=grid) == max(per_rho)
+    assert TestRule(basis, grid.values).statistic(basis.summary(x)) == max(per_rho)
     best = adaptive_stat(basis, grid, sample)
     assert best.value == max(per_rho)
     # the first grid value within round-off of the maximum
     top = max(per_rho) - embedding._ARGMAX_RTOL * abs(max(per_rho))
     assert best.argmax_rho == grid.values[[t >= top for t in per_rho].index(True)]
-    assert statistic("m3d", basis, basis.summary(x), rho=grid.values[-1]) == per_rho[-1]
+    assert TestRule(basis, [grid.values[-1]]).statistic(basis.summary(x)) == per_rho[-1]
 
 
 def test_run_test_evaluates_the_adaptive_grid_once(monkeypatch):
     basis = cosine_basis(32)
     sample = Sample(np.random.default_rng(4).random(200) ** 1.5)
     calls = []
-    real = embedding._studentized
+    real = TestRule.rows
 
-    def spy(basis, summary, rhos):
-        calls.append(len(rhos))
-        return real(basis, summary, rhos)
+    def spy(self, summary):
+        calls.append(len(self.rhos))
+        return real(self, summary)
 
-    monkeypatch.setattr(embedding, "_studentized", spy)
+    monkeypatch.setattr(TestRule, "rows", spy)
     report = run_test("adaptive", basis, sample, 0.05, calibration=null_calibration(
         "adaptive", basis, sample.n, 0.05, calibrate="theory"))
     grid = adaptive_grid(sample.n, basis.decay_exponent)
@@ -435,14 +435,14 @@ def test_adaptive_argmax_ignores_round_off_on_a_plateau(monkeypatch):
     # ulp higher, as a summary that differs by round-off can make it
     flat = 2.5
     t = np.array([flat, flat, np.nextafter(flat, 3.0), flat, 1.0])
-    monkeypatch.setattr(embedding, "_studentized", lambda basis, s, rhos: t.copy())
+    monkeypatch.setattr(TestRule, "rows", lambda self, s: t.copy())
     basis, grid = cosine_basis(8), RhoGrid(rho_star=1e-30, m_star=4)
-    best = embedding._adaptive(basis, grid, basis.summary(np.array([0.5])))
+    best = adaptive_stat(basis, grid, Sample(np.array([0.5])))
     assert best.value == t[2]
     assert best.argmax_rho == grid.rho_star
     # a clear maximum further up the grid is still found
     t[3] = flat * (1.0 + 1e-9)
-    best = embedding._adaptive(basis, grid, basis.summary(np.array([0.5])))
+    best = adaptive_stat(basis, grid, Sample(np.array([0.5])))
     assert (best.value, best.argmax_rho) == (t[3], grid.values[3])
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from gofkit import cli, spectrum
-from gofkit.embedding import statistic
+from gofkit.embedding import TestRule
 from gofkit.spectrum import (
     DecompositionError,
     ModeratedSpectrum,
@@ -1089,14 +1089,14 @@ def test_studentized_statistic_moderation_limits(case):
     # rho = 0 weighs every eigenvalue by 1
     terms = s.n * s.mean_sq.sum(), s.diag_mean.sum()
     want = (terms[0] - terms[1]) / math.sqrt(2.0 * basis.truncation)
-    got = statistic("m3d", basis, s, rho=0.0)
+    got = TestRule(basis, [0.0]).statistic(s)
     assert abs(got - want) <= 1e-12 * sum(terms) / math.sqrt(2.0 * basis.truncation)
     # as rho grows, lambda / (lambda + rho^2) -> lambda / rho^2 in both the
     # numerator and the standard deviation, and rho^2 cancels
     terms = s.n * (lam * s.mean_sq).sum(), (lam * s.diag_mean).sum()
     scale = math.sqrt(2.0 * (lam * lam).sum())
     want = (terms[0] - terms[1]) / scale
-    got = statistic("m3d", basis, s, rho=1e6)
+    got = TestRule(basis, [1e6]).statistic(s)
     assert abs(got - want) <= 1e-9 * sum(terms) / scale
 
 

@@ -174,7 +174,7 @@ class TestRule:
         return float(value), int(np.argmax(t >= value - _ARGMAX_RTOL * abs(value)))
 
     def statistic(self, s: SampleSummary) -> float:
-        return self.best(s)[0]
+        return float(self.rows(s).max())
 
 
 def mmd_vstat(basis: SpectralBasis, sample: Sample) -> float:

@@ -106,9 +106,10 @@ def _mean_z(values, want):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("d, kappa", [(3, 0.5), (3, 5.0), (5, 50.0)])
+@pytest.mark.parametrize("d, kappa", [(3, 0.5), (3, 5.0), (5, 50.0), (2, 2.0)])
 def test_vmf_sampler_mean_resultant(d, kappa, seed):
-    # E<x, mu> = A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa)
+    # E<x, mu> = A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa); (2, 2) takes the
+    # exact tangent direction of d = 2
     mu = np.ones(d) / math.sqrt(d)
     x = sample_vmf(mu, kappa, 20000, np.random.default_rng(seed))
     assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12
@@ -120,7 +121,8 @@ def test_vmf_sampler_mean_resultant(d, kappa, seed):
 @pytest.mark.parametrize("d, kappa", [(5, 0.5), (3, 2.0), (6, 4.0), (2, 2.0)])
 def test_watson_sampler_second_moment(d, kappa, seed):
     # E<x, mu>^2 = (1/d) M(3/2, d/2+1, kappa) / M(1/2, d/2, kappa); (5, 0.5) takes
-    # the envelope for small kappa, (3, 2) the one for d = 3
+    # the envelope for small kappa, (3, 2) the one for d = 3, (2, 2) the
+    # t = cos(theta) proposal and the exact tangent direction of d = 2
     mu = np.ones(d) / math.sqrt(d)
     x = sample_watson(mu, kappa, 20000, np.random.default_rng(seed))
     assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12

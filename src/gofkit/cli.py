@@ -31,8 +31,6 @@ def _common_flags(p, seed=True):
     if seed:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; required on all Monte-Carlo paths")
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults; explicit flags override")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the human-readable report; keep JSON/CSV")
 
@@ -45,7 +43,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="compute and store a kernel spectrum")
     p.add_argument("--kernel", required=True,
                    help="kernel id (cosine-ref[:terms] or gaussian:BW on the cube; "
-                        "gaussian-sphere:S2 or constant on spheres)")
+                        "gaussian-sphere:S2 on spheres)")
     p.add_argument("--null", required=True,
                    help="null id: uniform-cube-1 or uniform-sphere-D")
     p.add_argument("--trunc", type=int, required=True,
@@ -85,10 +83,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("power", help="run a power experiment from a plan file")
     p.add_argument("--plan", required=True, help="JSON plan file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--alt", action="append", default=[],
-                   metavar="LABEL=FAMILY:key=val,...",
-                   help="add an alternative on top of the plan "
-                        "(vector values use semicolons)")
     _common_flags(p)
 
     p = sub.add_parser("reproduce",
@@ -98,7 +92,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None,
                    help="output directory (default reproduce-<target>)")
     _common_flags(p)
-    parser.subcommand_parsers = dict(sub.choices)
     return parser
 
 
@@ -118,12 +111,24 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def _read_json_object(path, what: str) -> dict:
+def _read_json_object(path) -> dict:
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
-        raise ValueError("%s file %s does not hold a JSON object" % (what, path))
+        raise ValueError("plan file %s does not hold a JSON object" % path)
     return d
+
+
+def _whole(value, plan: str, field: str) -> int:
+    """A count read from a plan file: a JSON number with no fractional part,
+    so 1e5 reads as 100000; ValueError, naming the file and the field, for a
+    fraction, a boolean or a string."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError("plan file %s: %r must be a whole number, got %s"
+                     % (plan, field, json.dumps(value)))
 
 
 def _build_spectrum(args):
@@ -131,10 +136,7 @@ def _build_spectrum(args):
     family, d = parse_null_id(null)
     if family == "uniform-sphere":
         profile = kernels.zonal_profile(args.kernel)
-        basis = sphere_zonal_spectrum(profile, d, args.trunc,
-                                      quad_points=args.nodes,
-                                      include_degree_zero=not args.center
-                                      and args.kernel.startswith("constant"))
+        basis = sphere_zonal_spectrum(profile, d, args.trunc, quad_points=args.nodes)
         basis.meta["kernel_id"] = args.kernel
         return basis
     if d == 1:
@@ -156,16 +158,20 @@ def _basis_from_config(cfg: dict, plan: str):
             raise ValueError("plan file %s: basis type %r has no %r field" % (plan, kind, name))
         return cfg[name]
 
+    def count(name, default=None):
+        value = need(name) if default is None else cfg.get(name, default)
+        return _whole(value, plan, "basis." + name)
+
     if kind == "cosine":
-        return cosine_basis(int(cfg.get("K", 64)))
+        return cosine_basis(count("K", 64))
     if kind == "tensor-cosine":
-        factor = cosine_basis(int(cfg.get("factor_K", 32)))
-        return tensor_product_basis(factor, int(need("d")), int(cfg.get("K", 256)))
+        factor = cosine_basis(count("factor_K", 32))
+        return tensor_product_basis(factor, count("d"), count("K", 256))
     if kind == "spectrum":
         return load_spectrum(need("path"))
     if kind == "sphere":
         profile = kernels.zonal_profile(need("profile"))
-        return sphere_zonal_spectrum(profile, int(need("d")), int(cfg.get("degree_max", 10)))
+        return sphere_zonal_spectrum(profile, count("d"), count("degree_max", 10))
     raise ValueError("unknown basis type %r in plan" % kind)
 
 
@@ -225,7 +231,7 @@ def _run_and_emit(plan, out_dir: str, args) -> int:
 def _cmd_power(args) -> int:
     from . import bench, dists
 
-    cfg = _read_json_object(args.plan, "plan")
+    cfg = _read_json_object(args.plan)
     for name in ("alternatives", "tests", "n"):
         if name not in cfg:
             raise ValueError("plan file %s has no %r field" % (args.plan, name))
@@ -234,25 +240,28 @@ def _cmd_power(args) -> int:
             raise ValueError("plan file %s: %r must be a JSON object, not %s"
                              % (args.plan, name, type(cfg[name]).__name__))
     basis = _basis_from_config(cfg.get("basis", {}), args.plan)
-    alts = {label: dists.spec_from_config(alt_cfg, basis=basis)
-            for label, alt_cfg in cfg["alternatives"].items()}
+    alts = {}
+    for label, alt in cfg["alternatives"].items():
+        if not isinstance(alt, dict):
+            raise ValueError("plan file %s: alternative %r must be a JSON object, not %s"
+                             % (args.plan, label, type(alt).__name__))
+        if "dim" in alt:
+            alt = {**alt, "dim": _whole(alt["dim"], args.plan, "alternatives.%s.dim" % label)}
+        alts[label] = dists.spec_from_config(alt, basis=basis)
     calib = cfg.get("calibration", {})
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValueError("--seed is required (or a 'seed' field in the plan)")
     plan = bench.ExperimentPlan(
         basis=basis, alternatives=alts,
-        tests=list(cfg["tests"]), n_list=[int(n) for n in cfg["n"]],
-        reps=int(cfg.get("reps", 100)), alpha=float(cfg.get("alpha", 0.05)),
-        seed=int(seed),
-        mmd_calibration_reps=int(calib.get("mmd_reps", cal.CHISQ_REPS)),
-        adaptive_calibration_reps=int(calib.get("adaptive_reps", cal.EMPIRICAL_REPS)),
+        tests=list(cfg["tests"]), n_list=[_whole(n, args.plan, "n") for n in cfg["n"]],
+        reps=_whole(cfg.get("reps", 100), args.plan, "reps"),
+        alpha=float(cfg.get("alpha", 0.05)), seed=_whole(seed, args.plan, "seed"),
+        mmd_calibration_reps=_whole(calib.get("mmd_reps", cal.CHISQ_REPS), args.plan,
+                                    "calibration.mmd_reps"),
+        adaptive_calibration_reps=_whole(calib.get("adaptive_reps", cal.EMPIRICAL_REPS),
+                                         args.plan, "calibration.adaptive_reps"),
         theta=float(calib.get("theta", 0.0)))
-    for entry in args.alt:
-        label, eq, flag = entry.partition("=")
-        if not eq:
-            raise ValueError("--alt expects LABEL=FAMILY:key=val,...")
-        plan.alternatives[label] = dists.alt_from_flag(flag, basis=basis)
     return _run_and_emit(plan, args.out, args)
 
 
@@ -287,15 +296,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.config:
-            defaults = _read_json_object(args.config, "config")
-            # subparsers keep their own defaults, so overlay the config onto
-            # each of them before reparsing; explicit flags still win.  The
-            # overlay goes on a parser of its own so no later call sees it.
-            parser = build_parser()
-            for sub in parser.subcommand_parsers.values():
-                sub.set_defaults(**defaults)
-            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)

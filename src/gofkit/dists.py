@@ -492,36 +492,9 @@ def least_favorable(basis: SpectralBasis, n: int, s: float, theta: float,
 def spec_from_config(cfg: dict, basis: Optional[SpectralBasis] = None) -> AlternativeSpec:
     cfg = dict(cfg)
     family = cfg.pop("family")
-    dim = int(cfg.pop("dim"))
+    dim = cfg.pop("dim")
     if family == "spectral":
         if basis is None:
             raise ValueError("spectral alternative needs a basis")
         cfg["basis"] = basis
     return AlternativeSpec(family=family, dim=dim, params=cfg)
-
-
-def alt_from_flag(text: str, basis: Optional[SpectralBasis] = None) -> AlternativeSpec:
-    """Parse a `family:key=val,...` flag value into an AlternativeSpec.
-
-    Vector values use semicolons, e.g. "vmf:dim=3,mu=0;0;1,kappa=2".
-    Marron-Wand names keep their colon: "marron-wand:smooth-comb:dim=5".
-    """
-    head, _, rest = text.partition(":")
-    if head == "marron-wand":
-        name, _, rest = rest.partition(":")
-        head = "marron-wand:%s" % name
-    cfg: dict = {"family": head}
-    for pair in filter(None, rest.split(",")):
-        key, eq, val = pair.partition("=")
-        if not eq:
-            raise ValueError("malformed key=val pair %r in --alt" % pair)
-        if ";" in val:
-            cfg[key] = [float(v) for v in val.split(";")]
-        else:
-            try:
-                cfg[key] = float(val)
-            except ValueError:
-                cfg[key] = val
-    if "dim" not in cfg:
-        raise ValueError("--alt requires a dim=... entry")
-    return spec_from_config(cfg, basis=basis)

@@ -1,10 +1,10 @@
 """Named kernels used by the CLI and the spectrum files.
 
-A kernel id is either a bare name ("cosine-ref", "constant") or a name with
-parameters separated by colons ("gaussian:0.1").  Kernels on the cube are
-vectorized: ``kernel(X, Y)`` returns the (len(X), len(Y)) matrix, where a
-1-D input is a column of 1-D points.  Kernels on spheres are zonal profiles
-g(t) of the inner product t = <x, y>.
+A kernel id is a name ("cosine-ref") or a name and its argument separated by
+a colon ("gaussian:0.1").  Kernels on the cube are vectorized:
+``kernel(X, Y)`` returns the (len(X), len(Y)) matrix, where a 1-D input is a
+column of 1-D points.  Kernels on spheres are zonal profiles g(t) of the
+inner product t = <x, y>.
 """
 from __future__ import annotations
 
@@ -91,16 +91,14 @@ def gaussian_sphere_profile(sigma2: float):
     return profile
 
 
-# what each kernel name takes after a colon: None for nothing, else how to
-# read it, what it must be, its value when the colon is left out, and the
-# largest value it may take
+# what each kernel name takes after a colon: how to read it, what it must
+# be, its value when the colon is left out, and the largest value it may take
 _ARGUMENTS = {
     "cosine-ref": (int, "at least one term, given as an integer count", 200,
                    sys.float_info.max),
     "gaussian": (float, "a positive bandwidth with a finite 2 bw^2", None,
                  _GAUSSIAN_MAX_BANDWIDTH),
     "gaussian-sphere": (float, "a finite positive sigma^2", None, sys.float_info.max),
-    "constant": None,
 }
 
 
@@ -111,10 +109,6 @@ def parse_kernel_id(kernel_id: str):
     name, colon, arg = kernel_id.partition(":")
     if name not in _ARGUMENTS:
         raise ValueError("unknown kernel id: %r" % kernel_id)
-    if _ARGUMENTS[name] is None:
-        if colon:
-            raise ValueError("kernel id %r: %s takes no argument" % (kernel_id, name))
-        return name, None
     read, what, default, top = _ARGUMENTS[name]
     if not colon and default is not None:
         return name, default
@@ -129,14 +123,12 @@ def parse_kernel_id(kernel_id: str):
 
 def zonal_profile(kernel_id: str):
     """Look up the profile g(t) of a zonal kernel k(x, y) = g(<x, y>) on a
-    sphere: "gaussian-sphere:S2" or "constant"; ValueError for other ids."""
+    sphere: "gaussian-sphere:S2"; ValueError for other ids."""
     name, arg = parse_kernel_id(kernel_id)
     if name == "gaussian-sphere":
         return gaussian_sphere_profile(arg)
-    if name == "constant":
-        return lambda t: np.ones_like(np.asarray(t, float))
     raise ValueError("sphere nulls need a zonal kernel "
-                     "(gaussian-sphere:S2 or constant), got %r" % kernel_id)
+                     "(gaussian-sphere:S2), got %r" % kernel_id)
 
 
 def resolve_kernel(kernel_id: str):

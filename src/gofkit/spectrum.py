@@ -716,7 +716,7 @@ def sphere_zonal_spectrum(profile, d: int, degree_max: int, *,
         raise ValueError("ambient dimension must be at least 3")
     if degree_max < 0:
         raise ValueError("degree_max must be nonnegative")
-    q = quad_points or max(2 * degree_max + 32, 64)
+    q = max(2 * degree_max + 32, 64) if quad_points is None else quad_points
     if q < 1:
         raise ValueError("the quadrature needs a positive node count, got %d" % q)
     coarse = _funk_hecke(profile, d, degree_max, q)

@@ -180,7 +180,6 @@ def test_decompose_cosine_ref_without_terms_exits_1(tmp_path, capsys, kernel):
     ("gaussian:inf", "uniform-cube-1"),
     ("gaussian:1e300", "uniform-cube-1"),  # 2 bw^2 overflows
     ("gaussian-sphere:nan", "uniform-sphere-3"),
-    ("constant:1", "uniform-cube-1"),
     ("cosine-ref:abc", "uniform-cube-1"),
     ("cosine-ref:2.5", "uniform-cube-1"),
 ])
@@ -214,10 +213,14 @@ def test_decompose_null_id_is_parsed_once(tmp_path, capsys, null, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nodes", ["0", "-4"])
-def test_decompose_needs_a_quadrature_node(tmp_path, capsys, nodes):
+@pytest.mark.parametrize("nodes, kernel, null", [
+    ("0", "cosine-ref", "uniform-cube-1"),
+    ("-4", "cosine-ref", "uniform-cube-1"),
+    ("0", "gaussian-sphere:1.0", "uniform-sphere-3"),
+], ids=["0", "-4", "sphere-0"])
+def test_decompose_needs_a_quadrature_node(tmp_path, capsys, nodes, kernel, null):
     out = tmp_path / "x.spec"
-    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
+    assert cli.main(["decompose", "--kernel", kernel, "--null", null,
                      "--trunc", "4", "--nodes", nodes, "--out", str(out)]) == 1
     assert ("error: the quadrature needs a positive node count, got %s\n" % nodes
             == capsys.readouterr().err)
@@ -252,7 +255,7 @@ def test_an_empty_data_file_prints_one_error_line(spectrum_file, tmp_path, text)
 @pytest.mark.parametrize("kernel", ["linear", "constant"])
 def test_decompose_refuses_a_cube_kernel_that_has_no_test(tmp_path, capsys, kernel):
     # centred, linear keeps one eigenpair and constant none, so neither
-    # supports the three tests; constant remains a zonal profile
+    # supports the three tests, and neither is a kernel id
     out = tmp_path / "x.spec"
     assert cli.main(["decompose", "--kernel", kernel, "--null", "uniform-cube-1",
                      "--trunc", "1", "--nodes", "64", "--out", str(out)]) == 1
@@ -400,7 +403,8 @@ def test_power_plan_and_alt_flag(spectrum_file, tmp_path, capsys):
     plan = {
         "basis": {"type": "cosine", "K": 32},
         "alternatives": {
-            "claw": {"family": "marron-wand:asymmetric-claw", "dim": 1}},
+            "claw": {"family": "marron-wand:asymmetric-claw", "dim": 1},
+            "skew": {"family": "marron-wand:skewed-unimodal", "dim": 1}},
         "tests": ["m3d"],
         "n": [100],
         "reps": 5,
@@ -410,7 +414,6 @@ def test_power_plan_and_alt_flag(spectrum_file, tmp_path, capsys):
     plan_file.write_text(json.dumps(plan))
     out_dir = tmp_path / "pow"
     assert cli.main(["power", "--plan", str(plan_file), "--out", str(out_dir),
-                     "--alt", "skew=marron-wand:skewed-unimodal:dim=1",
                      "--quiet"]) == 0
     csv_lines = (out_dir / "power.csv").read_text().splitlines()
     alts = {line.split(",")[3] for line in csv_lines[1:]}
@@ -433,48 +436,60 @@ _PLAN = {"basis": {"type": "cosine", "K": 16},
          "tests": ["m3d"], "n": [50], "reps": 5, "seed": 2}
 
 
-@pytest.mark.parametrize("flag, text, message", [
-    ("--plan", [1, 2], "plan file %s does not hold a JSON object"),
-    ("--config", [1, 2], "config file %s does not hold a JSON object"),
-    ("--plan", {k: v for k, v in _PLAN.items() if k != "alternatives"},
+@pytest.mark.parametrize("text, message", [
+    ([1, 2], "plan file %s does not hold a JSON object"),
+    ({k: v for k, v in _PLAN.items() if k != "alternatives"},
      "plan file %s has no 'alternatives' field"),
-    ("--plan", {**_PLAN, "basis": [16]}, "plan file %s: 'basis' must be a JSON object, "
-                                         "not list"),
-], ids=["plan-list", "config-list", "plan-without-alternatives", "plan-list-basis"])
-def test_a_json_input_that_is_not_its_object_exits_1(tmp_path, capsys, flag, text,
-                                                     message):
-    path, plan = tmp_path / "in.json", tmp_path / "plan.json"
+    ({**_PLAN, "basis": [16]}, "plan file %s: 'basis' must be a JSON object, not list"),
+    ({**_PLAN, "alternatives": {"u": 5}},
+     "plan file %s: alternative 'u' must be a JSON object, not int"),
+], ids=["plan-list", "plan-without-alternatives", "plan-list-basis", "plan-int-alternative"])
+def test_a_json_input_that_is_not_its_object_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "in.json"
     path.write_text(json.dumps(text))
-    plan.write_text(json.dumps(_PLAN))
-    argv = ["power", "--plan", str(path if flag == "--plan" else plan),
-            "--out", str(tmp_path / "o")]
-    assert cli.main(argv + (["--config", str(path)] if flag == "--config" else [])) == 1
+    assert cli.main(["power", "--plan", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % (message % path))
     assert not (tmp_path / "o").exists()
 
 
-def test_config_file_supplies_defaults(spectrum_file, data_file, tmp_path,
-                                       capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rho": 0.1, "alpha": 0.1}))
-    assert cli.main(["test", "--kind", "m3d", "--spectrum", str(spectrum_file),
-                     "--data", str(data_file), "--config", str(cfg),
+_TINY_SPHERE = {"type": "sphere", "profile": "gaussian-sphere:1.0", "d": 3,
+                "degree_max": 2}
+_TINY_TENSOR = {"type": "tensor-cosine", "factor_K": 4, "d": 2, "K": 8}
+_BAD_COUNTS = {
+    "n": {**_PLAN, "n": [50.7]},
+    "reps": {**_PLAN, "reps": 2.9},
+    "seed": {**_PLAN, "seed": True},
+    "calibration.mmd_reps": {**_PLAN, "calibration": {"mmd_reps": "500"}},
+    "calibration.adaptive_reps": {**_PLAN, "calibration": {"adaptive_reps": 20.5}},
+    "basis.K": {**_PLAN, "basis": {"type": "cosine", "K": 16.5}},
+    "basis.factor_K": {**_PLAN, "basis": {**_TINY_TENSOR, "factor_K": 4.5}},
+    "basis.d": {**_PLAN, "basis": {**_TINY_TENSOR, "d": "2"}},
+    "basis.degree_max": {**_PLAN, "basis": {**_TINY_SPHERE, "degree_max": 2.5}},
+    "alternatives.u.dim": {**_PLAN, "alternatives": {"u": {"family": "uniform-cube",
+                                                            "dim": 1.5}}},
+}
+
+
+@pytest.mark.parametrize("field", list(_BAD_COUNTS))
+def test_a_plan_count_that_is_not_a_whole_number_exits_1(tmp_path, capsys, field):
+    # a fraction, a boolean or a string was cut to an int and the plan ran
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(_BAD_COUNTS[field]))
+    assert cli.main(["power", "--plan", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan file %s: %r must be a whole number, got " % (path,
+                                                                                    field))
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_plan_count_may_carry_an_exponent(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({**_PLAN, "n": [5e1], "reps": 2e0}))
+    assert cli.main(["power", "--plan", str(path), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 0
-    record = json.loads(capsys.readouterr().out.strip())
-    assert record["alpha"] == pytest.approx(0.1)
-    assert record["parameters"]["rho"] == pytest.approx(0.1)
-
-
-def test_a_config_file_does_not_reach_the_next_call(spectrum_file, data_file, tmp_path,
-                                                   capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.1}))
-    argv = ["test", "--kind", "m3d", "--spectrum", str(spectrum_file),
-            "--data", str(data_file), "--rho", "0.1", "--quiet"]
-    assert cli.main(argv + ["--config", str(cfg)]) == 0
-    assert json.loads(capsys.readouterr().out)["alpha"] == 0.1
-    assert cli.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["alpha"] == 0.05
+    rows = (tmp_path / "o" / "power.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[1] == "50" for row in rows)
 
 
 @pytest.fixture()
@@ -487,27 +502,21 @@ def centered_file(tmp_path):
 
 
 @pytest.mark.parametrize("flag", [["--workers", "2"], ["--grid", "auto"], ["--seed", "5"],
-                                  ["--no-cache"]])
+                                  ["--no-cache"], ["--config", "cfg.json"],
+                                  ["--alt", "skew=marron-wand:skewed-unimodal:dim=1"]])
 def test_removed_flags_exit_1(centered_file, data_file, tmp_path, flag, capsys):
-    # decompose draws nothing, so it takes no seed; it keeps no cache either
+    # decompose draws nothing, so it takes no seed; it keeps no cache either.
+    # A plan file alone states a power study's alternatives
     if flag[0] in ("--seed", "--no-cache"):
         argv = ["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
                 "--trunc", "16", "--nodes", "128", "--out", str(tmp_path / "s.spec")]
+    elif flag[0] == "--alt":
+        argv = ["power", "--plan", "plan.json", "--out", str(tmp_path / "o")]
     else:
         argv = ["test", "--kind", "m3d", "--spectrum", str(centered_file),
                 "--data", str(data_file), "--rho", "0.1"]
     assert cli.main(argv + flag) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_decompose_reads_a_config_that_sets_a_seed(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 5, "quiet": True}))
-    out = tmp_path / "s.spec"
-    assert cli.main(["decompose", "--kernel", "cosine-ref", "--null", "uniform-cube-1",
-                     "--trunc", "16", "--nodes", "128", "--out", str(out),
-                     "--config", str(cfg)]) == 0
-    assert out.stat().st_size > 0 and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("kernel, null, trunc", [
@@ -1109,7 +1118,7 @@ def test_both_sphere_kernel_readers_share_one_parser(tmp_path, capsys):
         "tests": ["m3d"], "n": [50], "reps": 2, "seed": 1}))
     assert cli.main(["power", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == decompose_err
-    assert "gaussian-sphere:S2 or constant" in decompose_err
+    assert "sphere nulls need a zonal kernel (gaussian-sphere:S2)" in decompose_err
 
 
 def test_version_matches_pyproject():
@@ -1143,7 +1152,7 @@ def test_replicates_that_are_not_floats_exit_1(centered_file, data_file, tmp_pat
     ({"type": "tensor-cosine", "K": 16}, "d"),
     ({"type": "spectrum"}, "path"),
     ({"type": "sphere", "d": 3}, "profile"),
-    ({"type": "sphere", "profile": "constant"}, "d"),
+    ({"type": "sphere", "profile": "gaussian-sphere:1.0"}, "d"),
 ])
 def test_a_plan_basis_names_its_missing_field(tmp_path, capsys, basis, field):
     plan = tmp_path / "plan.json"

@@ -12,7 +12,6 @@ from scipy import special
 from gofkit import dists
 from gofkit.dists import (
     AlternativeSpec,
-    alt_from_flag,
     density,
     least_favorable,
     make_gaussian_mixture_spec,
@@ -435,15 +434,3 @@ def test_spec_config_roundtrip():
     assert back.family == spec.family and back.dim == spec.dim
     assert np.allclose(back.params["means"], spec.params["means"])
     assert back.params["uniform_weight"] == pytest.approx(0.3)
-
-
-def test_alt_from_flag():
-    spec = alt_from_flag("vmf:dim=3,mu=0;0;1,kappa=2")
-    assert spec.family == "vmf" and spec.dim == 3
-    assert spec.params["kappa"] == 2.0
-    mw = alt_from_flag("marron-wand:smooth-comb:dim=5")
-    assert mw.family == "marron-wand:smooth-comb" and mw.dim == 5
-    with pytest.raises(ValueError, match="dim"):
-        alt_from_flag("vmf:kappa=2")
-    with pytest.raises(ValueError, match="key=val"):
-        alt_from_flag("vmf:dim=3,oops")

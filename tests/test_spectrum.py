@@ -854,7 +854,7 @@ def _cacheable_bases():
             kernel_id="cosine-ref", center=True),
         "zonal": lambda: sphere_zonal_spectrum(gaussian_sphere_profile(1.0), 3, 8),
         "zonal-with-constant": lambda: sphere_zonal_spectrum(
-            zonal_profile("constant"), 3, 0, include_degree_zero=True),
+            lambda t: np.ones_like(np.asarray(t, float)), 3, 0, include_degree_zero=True),
     }
 
 
@@ -971,7 +971,8 @@ def test_zonal_profile_ids():
     t = np.linspace(-1.0, 1.0, 7)
     assert np.array_equal(zonal_profile("gaussian-sphere:0.5")(t),
                           gaussian_sphere_profile(0.5)(t))
-    assert np.array_equal(zonal_profile("constant")(t), np.ones(7))
+    with pytest.raises(ValueError, match="unknown kernel id: 'constant'"):
+        zonal_profile("constant")
     for bad in ("gaussian:0.5", "cosine-ref"):
         with pytest.raises(ValueError, match="zonal kernel"):
             zonal_profile(bad)

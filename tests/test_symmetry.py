@@ -3,10 +3,13 @@
 A map that carries the null to itself and the kernel to itself leaves every
 test's statistic unchanged: the reflection x -> 1 - x on [0,1], since
 cos(k pi (1 - x)) = (-1)^k cos(k pi x), and a rotation X -> XQ on a sphere,
-since a zonal kernel depends on <x, y> alone.  Each property asks all three
-tests for statistics within 1e-12 relative, to the larger of |T| and
-sqrt(K), and for the same decision, which a statistic within that distance
-of its threshold may miss.
+since a zonal kernel depends on <x, y> alone.  A permutation of a sample's
+rows changes none of its statistics.  Each property asks all three tests
+for statistics within 1e-12 relative, to the larger of |T| and sqrt(K), and
+for the same decision, which a statistic within that distance of its
+threshold may miss.  Repeating every row leaves the empirical measure, and
+so the V-statistics mmd_vstat and eta_sq, unchanged, to within 1e-12 of
+their value; the studentized statistics scale n eta^2 with n, so they move.
 """
 import math
 
@@ -15,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gofkit import kernels
-from gofkit.embedding import Sample, run_test
+from gofkit.embedding import Sample, eta_sq, mmd_vstat, run_test
 from gofkit.spectrum import (
+    ModeratedSpectrum,
     cosine_basis,
     gauss_legendre_01,
     nystrom_decompose,
@@ -68,3 +72,33 @@ def test_sphere_decisions_are_invariant_under_rotation(d, n, tilt, seed):
     X = g / np.linalg.norm(g, axis=1, keepdims=True)
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     _assert_same_decisions(_SPHERE[d], X, X @ Q)
+
+
+def _sample_on(d, n, seed):
+    """n points of a non-uniform law on [0, 1] (d = 1) or on S^{d-1}."""
+    rng = np.random.default_rng(seed)
+    if d == 1:
+        return rng.random((n, 1)) ** 1.5
+    g = rng.standard_normal((n, d))
+    g[:, -1] += 0.3
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+# each basis with the dimension of its points
+_BASES = {**{name: (b, 1) for name, b in _CUBE.items()},
+          **{"sphere-S%d" % (d - 1): (b, d) for d, b in _SPHERE.items()}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_BASES)), st.integers(16, 300), st.floats(1e-3, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_decisions_are_invariant_under_row_permutation_and_duplication(name, n, rho,
+                                                                        seed):
+    basis, d = _BASES[name]
+    X = _sample_on(d, n, seed)
+    _assert_same_decisions(basis, X, X[np.random.default_rng(seed).permutation(n)])
+    once, twice = Sample(X), Sample(np.repeat(X, 2, axis=0))
+    ms = ModeratedSpectrum(basis, rho)
+    for a, b in ((mmd_vstat(basis, once), mmd_vstat(basis, twice)),
+                 (eta_sq(ms, once), eta_sq(ms, twice))):
+        assert abs(b - a) <= _TOL * a

@@ -48,7 +48,7 @@ from .spectrum import (
     tensor_product_basis,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "AdaptiveStat",

@@ -131,10 +131,22 @@ def _whole(value, plan: str, field: str) -> int:
                      % (plan, field, json.dumps(value)))
 
 
+def _number(value, plan: str, field: str) -> float:
+    """A JSON number read from a plan file; ValueError, naming the file and
+    the field, for a boolean, a string or anything else."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError("plan file %s: %r must be a number, got %s"
+                     % (plan, field, json.dumps(value)))
+
+
 def _build_spectrum(args):
     null = args.null
     family, d = parse_null_id(null)
     if family == "uniform-sphere":
+        if args.center:
+            raise ValueError("--center does not apply on a sphere: a zonal basis "
+                             "always drops degree 0")
         profile = kernels.zonal_profile(args.kernel)
         basis = sphere_zonal_spectrum(profile, d, args.trunc, quad_points=args.nodes)
         basis.meta["kernel_id"] = args.kernel
@@ -256,12 +268,13 @@ def _cmd_power(args) -> int:
         basis=basis, alternatives=alts,
         tests=list(cfg["tests"]), n_list=[_whole(n, args.plan, "n") for n in cfg["n"]],
         reps=_whole(cfg.get("reps", 100), args.plan, "reps"),
-        alpha=float(cfg.get("alpha", 0.05)), seed=_whole(seed, args.plan, "seed"),
+        alpha=_number(cfg.get("alpha", 0.05), args.plan, "alpha"),
+        seed=_whole(seed, args.plan, "seed"),
         mmd_calibration_reps=_whole(calib.get("mmd_reps", cal.CHISQ_REPS), args.plan,
                                     "calibration.mmd_reps"),
         adaptive_calibration_reps=_whole(calib.get("adaptive_reps", cal.EMPIRICAL_REPS),
                                          args.plan, "calibration.adaptive_reps"),
-        theta=float(calib.get("theta", 0.0)))
+        theta=_number(calib.get("theta", 0.0), args.plan, "calibration.theta"))
     return _run_and_emit(plan, args.out, args)
 
 

@@ -3,14 +3,14 @@
 Bases are represented by their eigenvalues together with an explicit feature
 map (eigenfunction evaluator).  Zonal kernels on spheres group their
 eigenvalues by degree and evaluate kernels through the Gegenbauer addition
-theorem; on S^2 their eigenfunctions, the real spherical harmonics, are
-evaluated explicitly, and on higher spheres a sample summary walks the Gram
-matrix instead.
+theorem; their eigenfunctions, the Gelfand-Tsetlin harmonics, are evaluated
+on every sphere by one recurrence.
 """
 from __future__ import annotations
 
 import collections
 import heapq
+import itertools
 import math
 import os
 import struct
@@ -70,8 +70,8 @@ class SpectralBasis:
 
     ``feature_fn(X, m) -> (n, m)`` evaluates the first m eigenfunctions at
     rows of X that :meth:`_points` has checked; :meth:`head` and
-    :meth:`features` (m = K) call it.  A basis without one (zonal, d >= 4)
-    overrides the kernel-evaluation entry points instead.  Without a
+    :meth:`features` (m = K) call it.  Every basis here passes one; a
+    hand-built basis without one holds eigenvalues only.  Without a
     ``decay_exponent`` the basis fits one to its own eigenvalues (NaN for K < 8).
     """
 
@@ -134,6 +134,9 @@ class SpectralBasis:
             raise ValueError("points lie %s (by %.3g)" % (support, off))
         return X
 
+    # doubles per row of a feature block, the evaluator's working columns too
+    _row_columns = property(lambda self: self.truncation)
+
     def features(self, X: np.ndarray) -> np.ndarray:
         """All K eigenfunctions at the rows of X: ``head(X, K)``."""
         return self.head(X, self.truncation)
@@ -160,15 +163,16 @@ class SpectralBasis:
     def summary(self, X) -> "SampleSummary":
         """Per-eigenvalue squared empirical means and diagonal means.
 
-        Sums phi and phi^2 over blocks of ``_SUMMARY_BLOCK`` rows, so memory
-        does not grow with the sample size; :meth:`features` checks each
-        block's rows once.
+        Sums phi and phi^2 over blocks of at most ``_SUMMARY_BLOCK`` rows of
+        ``_row_columns`` doubles each within ``_SUMMARY_BYTES``, so memory does
+        not grow with the sample size; :meth:`features` checks each block once.
         """
         X = as_points(X)
         n = X.shape[0]
+        rows = max(1, min(_SUMMARY_BLOCK, _SUMMARY_BYTES // (8 * self._row_columns)))
         total, square = np.zeros(self.truncation), np.zeros(self.truncation)
-        for a in range(0, n, _SUMMARY_BLOCK):
-            fx = self.features(X[a:a + _SUMMARY_BLOCK])
+        for a in range(0, n, rows):
+            fx = self.features(X[a:a + rows])
             total += fx.sum(axis=0)
             square += np.einsum("ij,ij->j", fx, fx)
             del fx  # so that the next block is not built beside this one
@@ -254,38 +258,36 @@ class SphereZonalBasis(SpectralBasis):
     uniform-sphere-d).  The basis is degenerate when degree 0, the constant,
     is not kept.
 
-    On S^2 (d = 3) the eigenfunctions are the real spherical harmonics, one
-    block of 2k+1 columns per kept degree, in the order of ``degrees``.
-    :meth:`features` evaluates them, and :meth:`summary` sums them over
-    blocks of ``_SUMMARY_BLOCK`` rows: O(n K) time and O(block K) memory.
-    For d >= 4 the harmonics are never materialized, and :meth:`summary`
-    costs O(n^2 degree_max) time and O(block n) memory: it walks the Gram
-    matrix in blocks of rows and steps one Gegenbauer recurrence through
-    every degree up to ``max(degrees)``.
+    The eigenfunctions are the harmonics of :func:`_sphere_harmonics`, one
+    block of N(d, k) columns per kept degree, in the order of ``degrees``; on
+    S^2 they are the real spherical harmonics.  :meth:`summary` sums them
+    over row blocks as every basis does: O(n K) time, memory bounded in n.
     """
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
-        self.degree_eigenvalues = np.asarray(degree_eigenvalues, dtype=float)
-        self.degrees = np.asarray(degrees, dtype=int)
+        lam = np.asarray(degree_eigenvalues, dtype=float)
+        order = np.argsort(-lam, kind="stable")
+        self.degree_eigenvalues = lam[order]
+        self.degrees = np.asarray(degrees, dtype=int)[order]
         self.d = int(d)
-        self.multiplicities = np.array(
-            [harmonic_dimension(self.d, k) for k in self.degrees], dtype=float
-        )
-        order = np.argsort(-self.degree_eigenvalues, kind="stable")
-        self.degree_eigenvalues = self.degree_eigenvalues[order]
-        self.degrees = self.degrees[order]
-        self.multiplicities = self.multiplicities[order]
-        expanded = np.repeat(self.degree_eigenvalues, self.multiplicities.astype(int))
+        if self.d < 3:
+            raise ValueError("a zonal basis needs d >= 3, got d = %d" % self.d)
+        counts = np.array([harmonic_dimension(self.d, k) for k in self.degrees], dtype=int)
+        self.multiplicities = counts.astype(float)
         # index of each degree block inside the expanded eigenvalue array
-        self._block_start = np.concatenate(
-            ([0], np.cumsum(self.multiplicities.astype(int))[:-1])
-        )
+        self._block_start = np.cumsum(counts) - counts
         kw.setdefault("null_id", "uniform-sphere-%d" % self.d)
-        # a closure over self would make every S^2 basis a reference cycle
+        # a closure over self would make every zonal basis a reference cycle
         degrees = self.degrees
-        harmonics = (lambda X, m: _sphere2_harmonics(X, degrees)[:, :m]) \
-            if self.d == 3 else None
-        super().__init__(expanded, harmonics, degenerate=0 not in self.degrees, **kw)
+        super().__init__(np.repeat(self.degree_eigenvalues, counts),
+                         lambda X, m: _sphere_harmonics(X, degrees)[:, :m],
+                         degenerate=0 not in self.degrees, **kw)
+
+    @property
+    def _row_columns(self) -> int:
+        # and every lower sphere's harmonics: sum_{k <= top} N(e, k) = N(e + 1, top)
+        top = int(self.degrees.max())
+        return self.truncation + sum(harmonic_dimension(e + 1, top) for e in range(2, self.d))
 
     def kernel_matrix(self, X, Y=None, weights=None) -> np.ndarray:
         weights = np.asarray(self.eigenvalues if weights is None else weights, dtype=float)
@@ -304,100 +306,87 @@ class SphereZonalBasis(SpectralBasis):
         return out
 
     def summary(self, X) -> SampleSummary:
-        """Per-degree squared empirical means: ``mean_sq[j]`` sums
-        (mean_i Y(X_i))^2 over the harmonics Y of degree ``degrees[j]``, and
-        ``diag_mean`` is ``multiplicities``."""
-        if self.d != 3:
-            return self._gram_summary(X)
-        # the harmonics' own summary, grouped by degree; by the addition
-        # theorem at <x, x> = 1 each degree's diagonal mean is exactly N(3, k)
+        """The block summary grouped by degree: ``mean_sq[j]`` sums (mean_i
+        Y(X_i))^2 over the harmonics Y of degree ``degrees[j]``; ``diag_mean``
+        is ``multiplicities``, N(d, k) by the addition theorem at <x, x> = 1."""
         s = super().summary(X)
-        return SampleSummary(
-            group_eigenvalues=self.degree_eigenvalues,
-            mean_sq=np.add.reduceat(s.mean_sq, self._block_start),
-            diag_mean=self.multiplicities.astype(float),
-            n=s.n,
-        )
-
-    def _gram_summary(self, X) -> SampleSummary:
-        """:meth:`summary` from the Gram matrix, for any d: mean_sq[j] is
-        N(d, k) n^-2 sum_{i,l} R_k(<X_i, X_l>) for k = ``degrees[j]``."""
-        X = self._points(X)
-        n = X.shape[0]
-        sums = np.zeros(int(self.degrees.max()) + 1)
-        # upper triangle by row blocks: the diagonal block X[a:b] x X[a:b]
-        # counts once, the rest of the row X[a:b] x X[b:] counts twice
-        for a in range(0, n, _ZONAL_BLOCK):
-            b = min(a + _ZONAL_BLOCK, n)
-            t = np.clip(X[a:b] @ X[a:].T, -1.0, 1.0)
-            for k, ck in _normalized_gegenbauer(t, (self.d - 2) / 2.0, sums.size - 1):
-                sums[k] += 2.0 * ck.sum() - ck[:, :b - a].sum()
-        return SampleSummary(
-            group_eigenvalues=self.degree_eigenvalues,
-            mean_sq=self.multiplicities * sums[self.degrees] / (n * n),
-            diag_mean=self.multiplicities.astype(float),
-            n=n,
-        )
+        return SampleSummary(group_eigenvalues=self.degree_eigenvalues,
+                             mean_sq=np.add.reduceat(s.mean_sq, self._block_start),
+                             diag_mean=self.multiplicities.astype(float), n=s.n)
 
 
-def _sphere2_harmonics(X: np.ndarray, degrees) -> np.ndarray:
-    """Real spherical harmonics on S^2 of each degree in ``degrees``, in that
-    order, at the rows of X: an (n, sum(2k+1)) array.
+def _sphere_harmonics(X: np.ndarray, degrees) -> np.ndarray:
+    """Real harmonics on S^{d-1}, d = X.shape[1] >= 3, of each degree in
+    ``degrees``, in that order, at the rows of X: an (n, sum N(d, k)) array,
+    orthonormal under the uniform probability measure, whose degree-k block
+    sums Y(x) Y(y) to N(d, k) R_k(<x, y>).
 
-    Degree k's block holds q_k0(z), then q_km(z) Re w^m and q_km(z) Im w^m
-    for m = 1..k, with w = x_1 + i x_2 and z = x_3.  Here q_km is the
-    polynomial part of the fully normalized associated Legendre function,
-    P_km(cos t) = q_km(cos t) sin^m t, and w^m = sin^m t e^{i m phi} carries
-    the sine factor, so no angle is needed.  q_km steps up in k by the
-    recurrence of Holmes & Featherstone (2002, J. Geodesy 76), from q_00 = 1
-    and q_mm = sqrt(2 3/2 5/4 ... (2m+1)/(2m)) for m >= 1.  Normalized so
-    that sum_m Y_km(x) Y_km(y) = (2k+1) P_k(<x, y>): the columns are
-    orthonormal under the uniform probability measure.
+    The Gelfand-Tsetlin basis (Dai & Xu 2013, Approximation Theory and
+    Harmonic Analysis on Spheres and Balls, ch. 1), built up the chain S^1,
+    S^2, ..., S^{d-1}: on S^{e-1}, degree k's block holds for j = 0..k the
+    degree-j block of S^{e-2} times G_{k-j}, the normalized Gegenbauer
+    polynomial of index j + (e-2)/2 in t = x[e-1].  Below the top every
+    harmonic is solid, homogeneous in x[:e], so no square root is taken.
+    S^1's blocks are 1 and Re, Im of (x_1 + i x_2)^j.  On S^2 this is the
+    recurrence of Holmes & Featherstone (2002, J. Geodesy 76) for the fully
+    normalized associated Legendre functions.
     """
-    n, top = X.shape[0], int(max(degrees))
-    width = 2 * np.asarray(degrees) + 1
-    # the row of out where each kept degree's block starts
-    start = dict(zip((int(k) for k in degrees), np.cumsum(width) - width))
-    out = np.empty((int(width.sum()), n))
-    x, y, z = X[:, 0], X[:, 1], X[:, 2]
-    # (re, im) = w^m, stepped in m by one complex multiplication
-    re, im, sectoral = np.ones(n), np.zeros(n), 1.0
-    prev, cur, scratch = np.empty(n), np.empty(n), np.empty(n)
-    for m in range(top + 1):
-        if m:
+    n, d = X.shape
+    top = int(max(degrees))
+
+    def circle():
+        x, y = X[:, 0], X[:, 1]
+        re, im = np.ones(n), np.zeros(n)
+        yield (re,)
+        for _ in range(top):
             re, im = re * x - im * y, re * y + im * x
-            sectoral *= math.sqrt((2.0 * m + 1.0) / (2.0 * m) * (2.0 if m == 1 else 1.0))
-        prev.fill(0.0)
-        cur.fill(sectoral)
-        for k in range(m, top + 1):
-            if k > m:
-                # q_km = a z q_{k-1,m} - b q_{k-2,m}, in place; q_{m-1,m} = 0
-                a = math.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
-                b = 0.0 if k == m + 1 else math.sqrt(
-                    (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
-                    / ((k - m) * (k + m) * (2.0 * k - 3.0)))
-                np.multiply(z, cur, out=scratch)
-                scratch *= a
-                prev *= b
-                np.subtract(scratch, prev, out=prev)
-                prev, cur = cur, prev
-            if k not in start:
-                continue
-            row = start[k]
-            if m == 0:
-                out[row] = cur
-            else:
-                np.multiply(cur, re, out=out[row + 2 * m - 1])
-                np.multiply(cur, im, out=out[row + 2 * m])
-    return out.T
+            yield re, im
+
+    lower = circle()
+    prev, cur, scratch = np.empty(n), np.empty(n), np.empty(n)
+    for e in range(3, d + 1):
+        # the top level keeps the asked degrees, a lower one all up to top
+        keep = [int(k) for k in degrees] if e == d else range(top + 1)
+        width = [harmonic_dimension(e, k) for k in keep]
+        start = dict(zip(keep, itertools.accumulate(width, initial=0)))
+        out = np.empty((sum(width), n))
+        t = X[:, e - 1]
+        r2 = None if e == d else np.einsum("ij,ij->i", X[:, :e], X[:, :e])
+        g, col = 1.0, 0  # col: where degree j's columns start in each block
+        for j, below in enumerate(lower):
+            L = 2 * j + e - 2
+            if j:  # G_0 = g_j; S^1's sqrt 2 rides on g_1 of S^2
+                g *= math.sqrt(L / (L - 1) * (2.0 if e == 3 and j == 1 else 1.0))
+            prev.fill(0.0)
+            cur.fill(g)
+            for k in range(j, top + 1):
+                m = k - j
+                if m:
+                    # G_m = a t G_{m-1} - b r^2 G_{m-2}; r^2 = |x[:e]|^2, 1 on the top
+                    a = math.sqrt((2 * m + L - 2) * (2 * m + L) / (m * (m + L - 1)))
+                    b = 0.0 if m == 1 else math.sqrt((2 * m + L) * (m + L - 2) * (m - 1)
+                                                     / (m * (m + L - 1) * (2 * m + L - 4)))
+                    np.multiply(t, cur, out=scratch)
+                    scratch *= a
+                    prev *= b
+                    if r2 is not None:
+                        prev *= r2
+                    np.subtract(scratch, prev, out=prev)
+                    prev, cur = cur, prev
+                if k in start:
+                    # row by row: a broadcast over S^2's 1- or 2-row blocks ran 8% slower
+                    for i, h in enumerate(below, start[k] + col):
+                        np.multiply(h, cur, out=out[i])
+            col += len(below)
+        if e == d:
+            return out.T
+        lower = [out[row:row + w] for row, w in zip(start.values(), width)]
 
 
-# rows per block in SpectralBasis.summary: a block's features stay a few MB
+# bytes and most rows of one block in SpectralBasis.summary, the evaluator's
+# working columns included: a basis of K <= 256 columns sums 4096-row blocks
+_SUMMARY_BYTES = 8 << 20
 _SUMMARY_BLOCK = 4096
-# rows per block in SphereZonalBasis._gram_summary: a block of the Gram
-# matrix and the recurrence's terms stay in cache (256 rows ran 2.3x slower
-# at n = 1000)
-_ZONAL_BLOCK = 64
 # rows per strip of _symmetrize_lower: a strip's difference with the
 # transpose stays small beside the Gram itself
 _GRAM_STRIP = 64
@@ -690,8 +679,8 @@ def tensor_product_basis(factor: SpectralBasis, d: int, K: int) -> SpectralBasis
 
 
 def harmonic_dimension(d: int, k: int) -> int:
-    """Dimension N(d, k) of degree-k spherical harmonics on S^{d-1}."""
-    return (2 * k + d - 2) * math.comb(k + d - 3, k) // (d - 2)
+    """Dimension N(d, k) of degree-k spherical harmonics on S^{d-1}, d >= 2."""
+    return 1 if k == 0 else (2 * k + d - 2) * math.comb(k + d - 3, k - 1) // k
 
 
 def sphere_surface_area(d: int) -> float:

@@ -283,6 +283,18 @@ def test_decompose_zonal_convergence_bound(tmp_path, capsys, nodes, status):
     assert out.exists() == (status == 0)
 
 
+def test_decompose_refuses_center_on_a_sphere(tmp_path, capsys):
+    # a zonal basis always drops degree 0, so --center changed no byte of the
+    # file; the cube's cosine-ref still takes it
+    out = tmp_path / "s2.spec"
+    assert cli.main(["decompose", "--kernel", "gaussian-sphere:1.0", "--null",
+                     "uniform-sphere-3", "--trunc", "20", "--nodes", "96", "--center",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: --center does not apply on a sphere: a "
+                                       "zonal basis always drops degree 0\n")
+    assert not out.exists()
+
+
 def test_test_happy_path_m3d(spectrum_file, data_file, capsys):
     status = cli.main(["test", "--kind", "m3d", "--spectrum",
                        str(spectrum_file), "--data", str(data_file),
@@ -483,6 +495,23 @@ def test_a_plan_count_that_is_not_a_whole_number_exits_1(tmp_path, capsys, field
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, plan", [
+    ("alpha", {**_PLAN, "alpha": "0.1"}),
+    ("alpha", {**_PLAN, "alpha": True}),
+    ("calibration.theta", {**_PLAN, "calibration": {"theta": True}}),
+    ("calibration.theta", {**_PLAN, "calibration": {"theta": "0.5"}}),
+], ids=["alpha-string", "alpha-boolean", "theta-boolean", "theta-string"])
+def test_a_plan_real_that_is_not_a_number_exits_1(tmp_path, capsys, field, plan):
+    # float() read "0.1" as 0.1 and true as 1, and the study ran
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert cli.main(["power", "--plan", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan file %s: %r must be a number, got " % (path, field))
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_plan_count_may_carry_an_exponent(tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({**_PLAN, "n": [5e1], "reps": 2e0}))
@@ -527,8 +556,9 @@ def test_truncated_spectrum_cache_is_one_clean_error(tmp_path, data_file,
                                                      capsys, kernel, null, trunc):
     from gofkit.spectrum import _MAGIC, load_spectrum
     full = tmp_path / "full.spec"
+    center = ["--center"] if null == "uniform-cube-1" else []
     assert cli.main(["decompose", "--kernel", kernel, "--null", null, "--trunc", trunc,
-                     "--nodes", "128", "--center", "--out", str(full), "--quiet"]) == 0
+                     "--nodes", "128", *center, "--out", str(full), "--quiet"]) == 0
     data = full.read_bytes()
     load_spectrum(full)
     head = len(_MAGIC) + 4 + int.from_bytes(data[len(_MAGIC):len(_MAGIC) + 4], "little")

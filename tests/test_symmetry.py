@@ -40,7 +40,7 @@ _CUBE = {
         null_id="uniform-cube-1", kernel_id="cosine-ref", center=True),
 }
 _SPHERE = {d: sphere_zonal_spectrum(kernels.zonal_profile("gaussian-sphere:1.0"), d, 20)
-           for d in (3, 4)}
+           for d in (3, 4, 5)}
 
 
 def _assert_same_decisions(basis, X, Y):
@@ -63,7 +63,7 @@ def test_cube_decisions_are_invariant_under_reflection(name, n, power, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([3, 4]), st.integers(16, 300), st.floats(0.0, 0.5),
+@given(st.sampled_from([3, 4, 5]), st.integers(16, 300), st.floats(0.0, 0.5),
        st.integers(0, 2 ** 32 - 1))
 def test_sphere_decisions_are_invariant_under_rotation(d, n, tilt, seed):
     rng = np.random.default_rng(seed)

@@ -11,11 +11,13 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+import json
 import math
 import os
 import struct
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,11 +45,11 @@ class Quadrature:
             nodes = nodes[:, None]
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape[0] != weights.shape[0]:
-            raise ValueError("node and weight counts differ")
+            raise ValueError("weights: %d for %d nodes" % (weights.shape[0], nodes.shape[0]))
         if np.any(weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1")
+            raise ValueError("weights: must be nonnegative")
+        if not abs(weights.sum() - 1.0) <= 1e-12:  # NaN fails too
+            raise ValueError("weights: must sum to 1, not %.17g" % weights.sum())
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -88,11 +90,11 @@ class SpectralBasis:
     ):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
-            raise ValueError("eigenvalues must be a nonempty 1-D array")
+            raise ValueError("eigenvalues: must be a nonempty 1-D array")
         if not np.all(eigenvalues > 0):
-            raise ValueError("eigenvalues must be positive")
+            raise ValueError("eigenvalues: must be positive")
         if np.any(np.diff(eigenvalues) > 1e-12 * eigenvalues[0]):
-            raise ValueError("eigenvalues must be nonincreasing")
+            raise ValueError("eigenvalues: must be nonincreasing")
         self.eigenvalues = eigenvalues
         self._feature_fn = feature_fn
         self.null_id = null_id
@@ -219,7 +221,9 @@ class NystromBasis(SpectralBasis):
     def __init__(self, eigenvalues, kernel, quad: Quadrature, phi_nodes, *,
                  center: bool = False, null_id: str = "", kernel_id: str = ""):
         self.quad = quad
-        self.phi_nodes = np.asarray(phi_nodes, dtype=float)
+        # in row order, as a loaded file holds it, so that a basis evaluates
+        # the same bits before it is saved and after it is loaded
+        self.phi_nodes = np.ascontiguousarray(phi_nodes, dtype=float)
         self.center = bool(center)
         lam = np.asarray(eigenvalues, dtype=float)
         w = quad.weights
@@ -256,7 +260,8 @@ class SphereZonalBasis(SpectralBasis):
     Harmonics of degree k share one eigenvalue with multiplicity N(d, k).
     Points must be unit vectors in R^d (the null id defaults to
     uniform-sphere-d).  The basis is degenerate when degree 0, the constant,
-    is not kept.
+    is not kept.  ValueError unless the degrees are distinct whole numbers
+    in [0, 2^53), one for each eigenvalue.
 
     The eigenfunctions are the harmonics of :func:`_sphere_harmonics`, one
     block of N(d, k) columns per kept degree, in the order of ``degrees``; on
@@ -266,12 +271,22 @@ class SphereZonalBasis(SpectralBasis):
 
     def __init__(self, degree_eigenvalues, degrees, d, **kw):
         lam = np.asarray(degree_eigenvalues, dtype=float)
+        given = np.asarray(degrees, dtype=float)
+        if given.ndim != 1 or given.shape != lam.shape:
+            raise ValueError("degrees: shape %s, for degree eigenvalues of shape %s"
+                             % (given.shape, lam.shape))
+        seen = set()  # below 2^53 a double is exact at each whole number, as int64 is
+        for k in given.tolist():
+            if not (0 <= k < 2 ** 53 and k % 1 == 0) or k in seen:
+                raise ValueError("degrees: %g %s" % (k, "appears twice" if k in seen else
+                                                      "is not a whole number in [0, 2^53)"))
+            seen.add(k)
         order = np.argsort(-lam, kind="stable")
         self.degree_eigenvalues = lam[order]
-        self.degrees = np.asarray(degrees, dtype=int)[order]
+        self.degrees = given.astype(int)[order]
         self.d = int(d)
         if self.d < 3:
-            raise ValueError("a zonal basis needs d >= 3, got d = %d" % self.d)
+            raise ValueError("d: a zonal basis needs d >= 3, got %d" % self.d)
         counts = np.array([harmonic_dimension(self.d, k) for k in self.degrees], dtype=int)
         self.multiplicities = counts.astype(float)
         # index of each degree block inside the expanded eigenvalue array
@@ -841,54 +856,60 @@ SPEC_FORMAT = "GOFKIT-SPEC v1"
 _MAGIC = (SPEC_FORMAT + "\n").encode()
 
 
+def _nystrom_kernel_id(basis) -> str:
+    if not basis.meta.get("kernel_id"):
+        raise ValueError("a Nystrom basis saves only with a kernel id, which loads its kernel")
+    return basis.meta["kernel_id"]
+
+
+# basis_type -> (class; the closed form that the stored eigenvalues must be bit
+# for bit, or None; header fields; arrays; build(header, *arrays)).  A field is
+# (its JSON type, its value for a basis), an array (its shape in int fields or a
+# length the arrays share, its value).  Type None: a copy for readers before
+# 0.5.0, which took it from the header; the basis derives it.
+_NULL_AND_K = {"null_id": (str, attrgetter("null_id")), "K": (int, attrgetter("truncation"))}
+_KERNEL_ID = (str, lambda basis: basis.meta.get("kernel_id", ""))
+_OLD_COPIES = {name: (None, attrgetter(name)) for name in ("decay_exponent", "degenerate")}
+_FILE_TYPES = {
+    "nystrom": (
+        NystromBasis, None,
+        {"kernel_id": (str, _nystrom_kernel_id), "center": (bool, attrgetter("center")),
+         **_NULL_AND_K, "nodes": (int, attrgetter("quad.size")),
+         "dim": (int, lambda basis: basis.quad.nodes.shape[1]), **_OLD_COPIES},
+        {"eigenvalues": (("K",), attrgetter("eigenvalues")),
+         "nodes": (("nodes", "dim"), attrgetter("quad.nodes")),
+         "weights": (("nodes",), attrgetter("quad.weights")),
+         "phi_nodes": (("nodes", "K"), attrgetter("phi_nodes"))},
+        lambda header, lam, nodes, weights, phi_nodes: NystromBasis(
+            lam, resolve_kernel(header["kernel_id"]), Quadrature(nodes, weights), phi_nodes,
+            center=header["center"], null_id=header["null_id"], kernel_id=header["kernel_id"])),
+    "zonal": (
+        SphereZonalBasis, None,
+        {"kernel_id": _KERNEL_ID, **_NULL_AND_K, "d": (int, attrgetter("d")), **_OLD_COPIES},
+        {"eigenvalues": (("groups",), attrgetter("degree_eigenvalues")),
+         "degrees": (("groups",), attrgetter("degrees"))},
+        lambda header, lam, degrees: SphereZonalBasis(
+            lam, degrees, header["d"], meta={"kernel_id": header["kernel_id"]})),
+    "cosine": (
+        CosineBasis, "(k pi)^-2, k = 1..K, of cosine-ref",
+        {"kernel_id": _KERNEL_ID, **_NULL_AND_K},
+        {"eigenvalues": (("K",), attrgetter("eigenvalues"))},
+        lambda header, lam: cosine_basis(header["K"], header["kernel_id"])),
+}
+
+
 def save_spectrum(basis: SpectralBasis, path) -> None:
     """Serialize a basis to the versioned binary spectrum format."""
-    import json
-
-    if isinstance(basis, NystromBasis):
-        if not basis.meta.get("kernel_id"):
-            raise ValueError("a Nystrom basis saves only with a kernel id: the "
-                             "loader rebuilds its kernel from that id")
-        header = {
-            "basis_type": "nystrom",
-            "kernel_id": basis.meta["kernel_id"],
-            "center": basis.center,
-            "null_id": basis.null_id,
-            "K": basis.truncation,
-            "nodes": basis.quad.size,
-            "dim": basis.quad.nodes.shape[1],
-            "decay_exponent": basis.decay_exponent,
-            "degenerate": basis.degenerate,
-        }
-        arrays = [basis.eigenvalues, basis.quad.nodes, basis.quad.weights,
-                  basis.phi_nodes]
-    elif isinstance(basis, SphereZonalBasis):
-        header = {
-            "basis_type": "zonal",
-            "kernel_id": basis.meta.get("kernel_id", ""),
-            "null_id": basis.null_id,
-            "K": basis.truncation,
-            "d": basis.d,
-            "decay_exponent": basis.decay_exponent,
-            "degenerate": basis.degenerate,
-        }
-        arrays = [basis.degree_eigenvalues, basis.degrees.astype(float)]
-    elif isinstance(basis, CosineBasis):
-        header = {
-            "basis_type": "cosine",
-            "kernel_id": basis.meta["kernel_id"],
-            "null_id": basis.null_id,
-            "K": basis.truncation,
-        }
-        arrays = [basis.eigenvalues]
-    else:
+    kinds = [kind for kind, entry in _FILE_TYPES.items() if isinstance(basis, entry[0])]
+    if not kinds:
         raise ValueError("only Nystrom, zonal and cosine bases are cacheable")
-    hjson = json.dumps(header).encode()
+    _, _, fields, arrays, _ = _FILE_TYPES[kinds[0]]
+    header = {name: get(basis) for name, (_, get) in fields.items()}
+    hjson = json.dumps({"basis_type": kinds[0], **header}).encode()
     parts = [_MAGIC, struct.pack("<I", len(hjson)), hjson]
-    for arr in arrays:
-        a = np.ascontiguousarray(arr, dtype="<f8")
-        parts += [struct.pack("<I", a.ndim), struct.pack("<%dq" % a.ndim, *a.shape),
-                  a.tobytes()]
+    for _, get in arrays.values():
+        a = np.ascontiguousarray(get(basis), dtype="<f8")
+        parts += [struct.pack("<I%dq" % a.ndim, a.ndim, *a.shape), a.tobytes()]
     write_atomic(path, parts)
 
 
@@ -906,65 +927,58 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
 
 
 def load_spectrum(path) -> SpectralBasis:
-    """Load a basis saved by :func:`save_spectrum`.
-
-    The basis derives its decay exponent and degeneracy from the stored
-    eigenpairs; the header's copies are written for older readers only.  A
-    Nystrom file whose header has no "center" entry (written before gofkit
-    0.3.0 recorded centering) is refused with ValueError: nothing else in
-    the file says whether its eigenfunctions belong to the centered kernel.
-    A cosine file loads as :func:`cosine_basis` of its K, and only if its
-    eigenvalues are those of that basis bit for bit.
-    """
-    import json
-
+    """Load a basis saved by :func:`save_spectrum`, solving nothing.  ValueError,
+    naming the file and the field, unless each field its type reads has its JSON
+    type, each array the header's shape and finite values, no byte follows, and
+    the basis builds and gives back the header (and a closed form's bits)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not a %s spectrum cache" % SPEC_FORMAT)
+        size = os.fstat(fh.fileno()).st_size
 
-        def read(size):
-            data = fh.read(size)
-            if len(data) != size:
-                raise ValueError("truncated spectrum cache %s: %d of %d bytes at offset "
-                                 "%d" % (path, len(data), size, fh.tell() - len(data)))
-            return data
+        def read(count):
+            if count > size - fh.tell():
+                raise ValueError("truncated spectrum cache: %d of %d bytes at offset %d"
+                                 % (size - fh.tell(), count, fh.tell()))
+            return fh.read(count)
 
-        hlen = struct.unpack("<I", read(4))[0]
-        header = json.loads(read(hlen).decode())
-        if not isinstance(header, dict):
-            raise ValueError("spectrum file %s: its header is not a JSON object" % path)
-
-        def read_array():
-            ndim = struct.unpack("<I", read(4))[0]
-            shape = struct.unpack("<%dq" % ndim, read(8 * ndim))
-            count = int(np.prod(shape))
-            return np.frombuffer(read(8 * count), dtype="<f8").reshape(shape).copy()
-
-        if header["basis_type"] == "nystrom":
-            if "center" not in header:
-                raise ValueError("spectrum file %s does not record whether its kernel "
-                                 "was centered (written before gofkit 0.3.0); rerun "
-                                 "`gofkit decompose`" % path)
-            lam = read_array()
-            nodes = read_array()
-            weights = read_array()
-            phi_nodes = read_array()
-            return NystromBasis(
-                lam, resolve_kernel(header["kernel_id"]), Quadrature(nodes, weights),
-                phi_nodes, center=header["center"],
-                null_id=header["null_id"], kernel_id=header["kernel_id"])
-        if header["basis_type"] == "zonal":
-            lam = read_array()
-            degrees = read_array().astype(int)
-            return SphereZonalBasis(lam, degrees, header["d"], null_id=header["null_id"],
-                                    meta={"kernel_id": header["kernel_id"]})
-        if header["basis_type"] == "cosine":
-            lam, K = read_array(), header["K"]
-            exact = cosine_basis(K, header["kernel_id"]) \
-                if type(K) is int and K >= 1 and lam.shape == (K,) else None
-            if exact is None or lam.tobytes() != exact.eigenvalues.tobytes():
-                raise ValueError("spectrum file %s: its eigenvalues are not those of "
-                                 "the closed form (k pi)^-2, k = 1..K, of cosine-ref" % path)
-            return exact
-    raise ValueError("unknown basis type in spectrum cache")
+        try:
+            if fh.read(len(_MAGIC)) != _MAGIC:
+                raise ValueError("not a %s spectrum cache" % SPEC_FORMAT)
+            header = json.loads(read(struct.unpack("<I", read(4))[0]).decode())
+            if not isinstance(header, dict):
+                raise ValueError("its header is not a JSON object")
+            kind = header.get("basis_type")
+            if not isinstance(kind, str) or kind not in _FILE_TYPES:
+                raise ValueError("basis_type: %s is none of %s"
+                                 % (json.dumps(kind), ", ".join(_FILE_TYPES)))
+            _, closed_form, fields, shapes, build = _FILE_TYPES[kind]
+            for name, (jtype, _) in fields.items():
+                if jtype is not None and type(header.get(name)) is not jtype:
+                    raise ValueError(name + (": missing; rerun `gofkit decompose`" if name
+                                     not in header else ": %s is not a JSON %s"
+                                     % (json.dumps(header[name]), jtype.__name__)))
+            dims = {name: header[name] for name, (jtype, _) in fields.items() if jtype is int}
+            arrays = []
+            for name, (want, _) in shapes.items():
+                ndim = struct.unpack("<I", read(4))[0]
+                shape = struct.unpack("<%dQ" % ndim, read(8 * ndim))
+                if (ndim != len(want)
+                        or any(dims.setdefault(w, s) != s for w, s in zip(want, shape))):
+                    raise ValueError("%s: shape %s, but (%s) = %s" % (
+                        name, shape, ", ".join(want), tuple(dims.get(w) for w in want)))
+                data = read(8 * math.prod(shape))
+                arrays.append(np.frombuffer(data, "<f8").reshape(shape).copy())
+                if not np.isfinite(arrays[-1]).all():
+                    raise ValueError(name + ": holds NaN or infinity")
+            if fh.tell() != size:
+                raise ValueError("%s: %d bytes after the last array" % (name, size - fh.tell()))
+            basis = build(header, *arrays)
+            if closed_form and arrays[0].tobytes() != basis.eigenvalues.tobytes():
+                raise ValueError("its eigenvalues are not those of the closed form "
+                                 + closed_form)
+            for name, (jtype, get) in fields.items():
+                if jtype is not None and get(basis) != header[name]:
+                    raise ValueError("%s: the header says %s, the eigenpairs give %s"
+                                     % (name, json.dumps(header[name]), json.dumps(get(basis))))
+        except ValueError as exc:  # json's and the basis constructors' too
+            raise ValueError("spectrum file %s: %s" % (path, exc)) from None
+    return basis

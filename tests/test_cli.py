@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,19 +613,42 @@ def test_short_spectrum_has_no_schedule(tmp_path, data_file, capsys,
     assert "K < 8" in capsys.readouterr().err
 
 
-def _edit_header(path, edit):
-    """Rewrite the header of a spectrum file as ``edit(header)`` leaves it."""
+def _read_spec(path):
+    """(header, arrays) of a spectrum file, read without gofkit."""
+    import math
     import struct
 
     from gofkit.spectrum import _MAGIC
-    data = path.read_bytes()
-    hlen = struct.unpack("<I", data[len(_MAGIC):len(_MAGIC) + 4])[0]
-    start = len(_MAGIC) + 4
-    header = json.loads(data[start:start + hlen])
-    edit(header)
+    data, at = path.read_bytes(), len(_MAGIC) + 4
+    end = at + struct.unpack_from("<I", data, len(_MAGIC))[0]
+    header, at, arrays = json.loads(data[at:end]), end, []
+    while at < len(data):
+        ndim = struct.unpack_from("<I", data, at)[0]
+        shape = struct.unpack_from("<%dq" % ndim, data, at + 4)
+        at += 4 + 8 * ndim
+        arrays.append(np.frombuffer(data, "<f8", math.prod(shape), at).reshape(shape).copy())
+        at += 8 * arrays[-1].size
+    return header, arrays
+
+
+def _write_spec(path, header, arrays, tail=b""):
+    """A spectrum file of this header and these arrays, then ``tail``."""
+    import struct
+
+    from gofkit.spectrum import _MAGIC
     raw = json.dumps(header).encode()
-    path.write_bytes(data[:len(_MAGIC)] + struct.pack("<I", len(raw)) + raw
-                     + data[start + hlen:])
+    parts = [_MAGIC, struct.pack("<I", len(raw)), raw]
+    for a in arrays:
+        a = np.ascontiguousarray(a, "<f8")
+        parts += [struct.pack("<I%dq" % a.ndim, a.ndim, *a.shape), a.tobytes()]
+    path.write_bytes(b"".join(parts) + tail)
+
+
+def _edit_header(path, edit):
+    """Rewrite the header of a spectrum file as ``edit(header)`` leaves it."""
+    header, arrays = _read_spec(path)
+    edit(header)
+    _write_spec(path, header, arrays)
 
 
 def _drop_header_key(path, key):
@@ -1252,6 +1276,59 @@ def test_a_flipped_eigenvalue_byte_refuses_the_cosine_file(closed_form_inputs, t
     captured = capsys.readouterr()
     assert captured.err == ("error: spectrum file %s: its eigenvalues are not those of the "
                             "closed form (k pi)^-2, k = 1..K, of cosine-ref\n" % flipped)
+    assert captured.out == ""
+
+
+def _set(array, index, value):
+    array[index] = value
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+# file, edit of (header, arrays) that may return bytes to append, and the
+# field that the refusal must name
+_MALFORMED = {
+    "repeated-degree": ("gaussian-sphere_S2_trunc6", lambda h, a: _set(a[1], 1, a[1][0]),
+                        "degrees"),
+    "fractional-degree": ("gaussian-sphere_S2_trunc6", lambda h, a: _set(a[1], 0, 1.5),
+                          "degrees"),
+    "negative-degree": ("gaussian-sphere_S2_trunc6", lambda h, a: _set(a[1], 5, -1.0),
+                        "degrees"),
+    "degrees-one-short": ("gaussian-sphere_S2_trunc6", lambda h, a: a.append(a.pop()[:-1]),
+                          "degrees"),
+    "nan-eigenvalue": ("gaussian-sphere_S2_trunc6", lambda h, a: _set(a[0], 2, np.nan),
+                       "eigenvalues"),
+    "wrong-K": ("gaussian-sphere_S2_trunc6", lambda h, a: h.update(K=h["K"] - 1), "K"),
+    "d-as-a-string": ("gaussian-sphere_S2_trunc6", lambda h, a: h.update(d="3"), "d"),
+    "null-id-off-d": ("gaussian-sphere_S2_trunc6",
+                      lambda h, a: h.update(null_id="uniform-sphere-4"), "null_id"),
+    "phi-nodes-two-short": ("gaussian_centred_K8", lambda h, a: a.append(a.pop()[:, :-2]),
+                            "phi_nodes"),
+    "weights-off-1": ("gaussian_centred_K8", lambda h, a: _set(a[2], ..., a[2] * 1.01),
+                      "weights"),
+    "no-basis-type": ("gaussian_centred_K8", lambda h, a: h.pop("basis_type"),
+                      "basis_type"),
+    "bytes-after-the-arrays": ("cosine-ref_K16", lambda h, a: b"\0\0\0", "eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_a_malformed_spectrum_file_exits_1_naming_its_field(tmp_path, capsys, case):
+    name, edit, field = _MALFORMED[case]
+    header, arrays = _read_spec(_GOLDEN / (name + ".spec"))
+    tail = edit(header, arrays)
+    bad = tmp_path / "bad.spec"
+    _write_spec(bad, header, arrays, tail if isinstance(tail, bytes) else b"")
+    rng, data = np.random.default_rng(1), tmp_path / "x.csv"
+    if "S2" in name:  # a sample the file's null could take, had it loaded
+        rows = rng.standard_normal((50, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    else:
+        rows = rng.random((50, 1))
+    np.savetxt(data, rows, delimiter=",")
+    assert cli.main(["test", "--kind", "m3d", "--theta", "0", "--spectrum", str(bad),
+                     "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: spectrum file %s: %s: " % (bad, field)), captured.err
     assert captured.out == ""
 
 

@@ -8,6 +8,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,8 @@ def test_quadrature_rejects_bad_weights():
         Quadrature(np.array([[0.1], [0.9]]), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Quadrature(np.array([[0.1], [0.9]]), np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        Quadrature(np.array([[0.1], [0.9]]), np.array([np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +962,68 @@ def test_cache_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"not a spectrum file")
     with pytest.raises(ValueError, match="GOFKIT-SPEC"):
         load_spectrum(path)
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_CUBE_POINTS = np.linspace(0.05, 0.95, 7)[:, None]
+
+
+# Files that `decompose` wrote.  0.19.0 and 0.24.0 wrote the first three
+# byte for byte alike (same sha256), so one copy of each is kept; 0.16.0
+# wrote cosine-ref as a Nystrom basis:
+#   cosine-ref_K16: --kernel cosine-ref --null uniform-cube-1 --trunc 16 --nodes 128
+#   gaussian-sphere_S2_trunc6: --kernel gaussian-sphere:1.0 --null uniform-sphere-3
+#       --trunc 6 --nodes 96
+#   gaussian_centred_K8: --kernel gaussian:0.2 --null uniform-cube-1 --trunc 8
+#       --nodes 32 --center
+#   cosine-ref_nystrom_K8_0.16.0: --kernel cosine-ref --null uniform-cube-1
+#       --trunc 8 --nodes 32 --center
+_OLD_FILES = {
+    "cosine-ref_K16": (lambda: cosine_basis(16), _CUBE_POINTS),
+    "gaussian-sphere_S2_trunc6": (
+        lambda: sphere_zonal_spectrum(zonal_profile("gaussian-sphere:1.0"), 3, 6,
+                                      quad_points=96), _sphere_points(7, 3, seed=0)),
+    "gaussian_centred_K8": (
+        lambda: nystrom_decompose(gaussian_kernel(0.2), gauss_legendre_01(32), 8,
+                                  null_id="uniform-cube-1", kernel_id="gaussian:0.2",
+                                  center=True), _CUBE_POINTS),
+    "cosine-ref_nystrom_K8_0.16.0": (
+        lambda: nystrom_decompose(cosine_reference_kernel(), gauss_legendre_01(32), 8,
+                                  null_id="uniform-cube-1", kernel_id="cosine-ref",
+                                  center=True), _CUBE_POINTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OLD_FILES))
+def test_old_spectrum_files_load_as_the_basis_built_in_memory(name):
+    build, X = _OLD_FILES[name]
+    basis, loaded = build(), load_spectrum(_GOLDEN / (name + ".spec"))
+    assert type(loaded) is type(basis)
+    assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+    assert loaded.features(X).tobytes() == basis.features(X).tobytes()
+
+
+@pytest.mark.parametrize("name", ["gaussian-sphere_S2_trunc6", "gaussian_centred_K8"])
+def test_a_load_solves_nothing(monkeypatch, name):
+    def solved(*args, **kwargs):
+        raise AssertionError("load_spectrum solved for the eigenpairs it was given")
+
+    for owner, attr in ((spectrum, "_funk_hecke"), (spectrum, "_gegenbauer_gauss"),
+                        (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, attr, solved)
+    load_spectrum(_GOLDEN / (name + ".spec"))
+
+
+@pytest.mark.parametrize("degrees, message", [
+    ([2, 2], "degrees: 2 appears twice"),
+    ([2, -1], r"degrees: -1 is not a whole number in \[0, 2\^53\)"),
+    ([2, 2.5], "degrees: 2.5 is not a whole number"),
+    ([2, 1e300], "degrees: 1e\\+300 is not a whole number"),
+    ([2], r"degrees: shape \(1,\), for degree eigenvalues of shape \(2,\)"),
+])
+def test_zonal_basis_refuses_degrees_it_cannot_hold(degrees, message):
+    with pytest.raises(ValueError, match=message):
+        SphereZonalBasis([0.5, 0.4], degrees, 3)
 
 
 # ---------------------------------------------------------------------------
